@@ -1,5 +1,7 @@
 #include "workloads/ml/conv2d.h"
 
+#include <cstring>
+
 #include "common/logging.h"
 
 namespace pim::ml {
@@ -21,9 +23,11 @@ Im2Col(const ImageU8 &image, const LayerSpec &layer,
     auto &ops = ctx.ops();
 
     const int pad = layer.kernel / 2; // SAME padding
+    const auto channels = static_cast<std::size_t>(image.c());
     int row = 0;
     for (int oy = 0; oy < layer.out_h(); ++oy) {
         for (int ox = 0; ox < layer.out_w(); ++ox, ++row) {
+            std::uint8_t *patch = patches.Row(row);
             int col = 0;
             for (int ky = 0; ky < layer.kernel; ++ky) {
                 const int y = oy * layer.stride + ky - pad;
@@ -31,16 +35,16 @@ Im2Col(const ImageU8 &image, const LayerSpec &layer,
                     const int x = ox * layer.stride + kx - pad;
                     const bool inside = y >= 0 && y < image.h() &&
                                         x >= 0 && x < image.w();
-                    for (int ch = 0; ch < image.c(); ++ch) {
-                        patches.At(row, col + ch) =
-                            inside ? image.At(y, x, ch) : zero_point;
-                    }
                     if (inside) {
+                        std::memcpy(patch + col, image.Pixel(y, x),
+                                    channels);
                         // One strided channel-vector read per tap.
                         mem.Read(image.SimAddr(y, x, 0),
                                  static_cast<Bytes>(image.c()));
                         ops.Load((static_cast<Bytes>(image.c()) + 15) /
                                  16);
+                    } else {
+                        std::memset(patch + col, zero_point, channels);
                     }
                     ops.Alu(3); // tap address computation + bounds
                     col += image.c();

@@ -46,6 +46,13 @@ class ImageU8
         return data_[Index(y, x, ch)];
     }
 
+    /** The c() channel values of pixel (y, x) as a pointer. */
+    const std::uint8_t *
+    Pixel(int y, int x) const
+    {
+        return data_.data() + Index(y, x, 0);
+    }
+
     Address
     SimAddr(int y, int x, int ch) const
     {

@@ -1,12 +1,25 @@
 #include "workloads/ml/pack.h"
 
+#include <algorithm>
+#include <cstring>
+
 #include "common/logging.h"
 
 namespace pim::ml {
 
 namespace {
+
 constexpr int kPanel = PackBlocking::kPanel;
+
+/** First byte of panel @p panel's depth-major storage. */
+std::uint8_t *
+PanelData(PackedMatrix &m, int panel)
+{
+    return m.storage().data() +
+           static_cast<std::size_t>(panel) * kPanel * m.depth();
 }
+
+} // namespace
 
 PackedMatrix::PackedMatrix(int outer, int depth)
     : outer_(outer), depth_(depth),
@@ -34,12 +47,6 @@ PackedMatrix::At(int o, int k) const
     return storage_[StorageIndex(o, k)];
 }
 
-void
-PackedMatrix::Set(int o, int k, std::uint8_t v)
-{
-    storage_[StorageIndex(o, k)] = v;
-}
-
 PackedResult::PackedResult(int rows, int cols)
     : rows_(rows), cols_(cols), block_rows_((rows + kPanel - 1) / kPanel),
       block_cols_((cols + kPanel - 1) / kPanel),
@@ -65,12 +72,6 @@ PackedResult::StorageIndex(int r, int c) const
            static_cast<std::size_t>(ir) * kPanel + ic;
 }
 
-std::int32_t
-PackedResult::At(int r, int c) const
-{
-    return storage_[StorageIndex(r, c)];
-}
-
 void
 PackedResult::Set(int r, int c, std::int32_t v)
 {
@@ -92,12 +93,19 @@ PackLhs(const Matrix<std::uint8_t> &src, PackedMatrix &dst,
     for (int panel = 0; panel < dst.panels(); ++panel) {
         const int r0 = panel * kPanel;
         // Gather kPanel source rows into depth-major panel storage.
-        for (int k = 0; k < depth; ++k) {
-            for (int lane = 0; lane < kPanel; ++lane) {
-                const int r = r0 + lane;
-                const std::uint8_t v =
-                    r < src.rows() ? src.At(r, k) : 0;
-                dst.Set(r0 + lane, k, v);
+        std::uint8_t *pdst = PanelData(dst, panel);
+        for (int lane = 0; lane < kPanel; ++lane) {
+            const int r = r0 + lane;
+            std::uint8_t *out = pdst + lane;
+            if (r < src.rows()) {
+                const std::uint8_t *row = src.Row(r);
+                for (int k = 0; k < depth; ++k) {
+                    out[static_cast<std::size_t>(k) * kPanel] = row[k];
+                }
+            } else {
+                for (int k = 0; k < depth; ++k) {
+                    out[static_cast<std::size_t>(k) * kPanel] = 0;
+                }
             }
         }
         // Traffic: each source row is read once (streaming), but the
@@ -131,15 +139,29 @@ PackRhs(const Matrix<std::uint8_t> &src, PackedMatrix &dst,
     auto &ops = ctx.ops();
     const int depth = dst.depth();
 
+    // The host copy walks each source row once, dealing its kPanel-wide
+    // slices out to every panel; the modelled traffic below is still
+    // the panel-by-panel column gather.
+    const int full_panels = src.cols() / kPanel;
+    const int ragged = src.cols() - full_panels * kPanel;
+    for (int k = 0; k < depth; ++k) {
+        const std::uint8_t *row = src.Row(k);
+        const std::size_t at = static_cast<std::size_t>(k) * kPanel;
+        for (int panel = 0; panel < full_panels; ++panel) {
+            std::memcpy(PanelData(dst, panel) + at, row + panel * kPanel,
+                        kPanel);
+        }
+        if (ragged > 0) {
+            std::uint8_t *pk = PanelData(dst, full_panels) + at;
+            std::memcpy(pk, row + full_panels * kPanel,
+                        static_cast<std::size_t>(ragged));
+            std::memset(pk + ragged, 0,
+                        static_cast<std::size_t>(kPanel - ragged));
+        }
+    }
     for (int panel = 0; panel < dst.panels(); ++panel) {
         const int c0 = panel * kPanel;
         for (int k = 0; k < depth; ++k) {
-            for (int lane = 0; lane < kPanel; ++lane) {
-                const int c = c0 + lane;
-                const std::uint8_t v =
-                    c < src.cols() ? src.At(k, c) : 0;
-                dst.Set(c0 + lane, k, v);
-            }
             // Column gather: one strided read of kPanel bytes per k.
             mem.Read(src.SimAddr(k, std::min(c0, src.cols() - 1)),
                      kPanel);
@@ -169,21 +191,19 @@ UnpackResult(const PackedResult &src, Matrix<std::int32_t> &dst,
         for (int bc = 0; bc < src.block_cols(); ++bc) {
             const int r0 = br * kPanel;
             const int c0 = bc * kPanel;
+            const int cols = std::min(kPanel, dst.cols() - c0);
             for (int ir = 0; ir < kPanel; ++ir) {
                 const int r = r0 + ir;
                 if (r >= dst.rows()) {
                     break;
                 }
-                for (int ic = 0; ic < kPanel; ++ic) {
-                    const int c = c0 + ic;
-                    if (c >= dst.cols()) {
-                        break;
-                    }
-                    dst.At(r, c) = src.At(r, c);
-                }
+                const std::size_t at = src.StorageIndex(r, c0);
+                std::memcpy(dst.Row(r) + c0, src.storage().data() + at,
+                            static_cast<std::size_t>(cols) *
+                                sizeof(std::int32_t));
                 // Block row read is contiguous; destination write is a
                 // short strided row segment.
-                mem.Read(src.storage().SimAddr(src.StorageIndex(r, c0)),
+                mem.Read(src.storage().SimAddr(at),
                          kPanel * sizeof(std::int32_t));
                 mem.Write(dst.SimAddr(r, std::min(c0, dst.cols() - 1)),
                           kPanel * sizeof(std::int32_t));

@@ -48,7 +48,6 @@ class PackedMatrix
 
     /** Value of (outer index, depth index); padding reads as zero. */
     std::uint8_t At(int o, int k) const;
-    void Set(int o, int k, std::uint8_t v);
 
     /** Storage index of (outer index, depth index). */
     std::size_t StorageIndex(int o, int k) const;
@@ -80,7 +79,6 @@ class PackedResult
     int block_rows() const { return block_rows_; }
     int block_cols() const { return block_cols_; }
 
-    std::int32_t At(int r, int c) const;
     void Set(int r, int c, std::int32_t v);
     std::size_t StorageIndex(int r, int c) const;
 

@@ -48,6 +48,10 @@ class Matrix
         return data_[Index(r, c)];
     }
 
+    /** Row @p r as a pointer (bounds-checked once for the whole row). */
+    T *Row(int r) { return data_.data() + Index(r, 0); }
+    const T *Row(int r) const { return data_.data() + Index(r, 0); }
+
     Address
     SimAddr(int r, int c) const
     {

@@ -1,6 +1,7 @@
 #include "workloads/video/deblock.h"
 
 #include <algorithm>
+#include <cstddef>
 #include <cstdlib>
 
 namespace pim::video {
@@ -93,6 +94,10 @@ DeblockPlane(Plane &plane, const DeblockParams &params,
     // 64x64 superblock, all vertical edges are filtered first, then all
     // horizontal edges, so the working set stays superblock-sized.
     const int step = kTransformSize / 2;
+    // Edge taps reach 4 pixels to either side; the edge loops skip edges
+    // closer than that to the border, so raw pointers stay in the plane.
+    std::uint8_t *pixels = plane.buffer().data();
+    const std::ptrdiff_t stride = plane.w();
 
     for (int sb_y = 0; sb_y < plane.h(); sb_y += kSuperblockSize) {
         const int y1 = std::min(sb_y + kSuperblockSize, plane.h());
@@ -105,12 +110,10 @@ DeblockPlane(Plane &plane, const DeblockParams &params,
                     continue;
                 }
                 for (int y = sb_y; y < y1; ++y) {
+                    std::uint8_t *at = pixels + y * stride + ex;
                     const bool filtered = FilterEdgePosition(
-                        params,
-                        [&](int d) { return plane.At(ex + d, y); },
-                        [&](int d, std::uint8_t v) {
-                            plane.At(ex + d, y) = v;
-                        });
+                        params, [at](int d) { return at[d]; },
+                        [at](int d, std::uint8_t v) { at[d] = v; });
                     ++stats.edges_checked;
                     stats.edges_filtered += filtered ? 1 : 0;
                     // 8-pixel straddle read; 4-pixel writeback when
@@ -133,11 +136,11 @@ DeblockPlane(Plane &plane, const DeblockParams &params,
                     continue;
                 }
                 for (int x = sb_x; x < x1; ++x) {
+                    std::uint8_t *at = pixels + ey * stride + x;
                     const bool filtered = FilterEdgePosition(
-                        params,
-                        [&](int d) { return plane.At(x, ey + d); },
-                        [&](int d, std::uint8_t v) {
-                            plane.At(x, ey + d) = v;
+                        params, [at, stride](int d) { return at[d * stride]; },
+                        [at, stride](int d, std::uint8_t v) {
+                            at[d * stride] = v;
                         });
                     ++stats.edges_checked;
                     stats.edges_filtered += filtered ? 1 : 0;

@@ -61,6 +61,27 @@ class Plane
         return data_[Index(x, y)];
     }
 
+    /**
+     * Pixels [x, x+n) of row y with edge clamping, as a pointer.  Row y
+     * is clamped first; when the column span then lies inside the plane
+     * (one bounds test for the whole span) the pointer goes straight
+     * into the plane, else @p scratch (at least n bytes) receives the
+     * per-pixel AtClamped copy.  This is the kernels' interior fast
+     * path: only left/right border spans pay the clamped path.
+     */
+    const std::uint8_t *
+    ClampedRow(int x, int y, int n, std::uint8_t *scratch) const
+    {
+        y = y < 0 ? 0 : (y >= h_ ? h_ - 1 : y);
+        if (x >= 0 && n <= w_ - x) {
+            return data_.data() + Index(x, y);
+        }
+        for (int i = 0; i < n; ++i) {
+            scratch[i] = AtClamped(x + i, y);
+        }
+        return scratch;
+    }
+
     Address
     SimAddr(int x, int y) const
     {

@@ -7,24 +7,60 @@
 
 namespace pim::video {
 
+namespace {
+
+/** Largest SAD block edge the stack scratch rows cover. */
+constexpr int kMaxBlock = kSuperblockSize;
+
+/** Sum of |a[x] - b[x]| over kN (or, for kN == 0, @p n) pixels. */
+template <int kN>
+std::uint32_t
+RowSadN(const std::uint8_t *a, const std::uint8_t *b, int n)
+{
+    const int len = kN > 0 ? kN : n;
+    std::uint32_t sad = 0;
+    for (int x = 0; x < len; ++x) {
+        sad += static_cast<std::uint32_t>(
+            std::abs(static_cast<int>(a[x]) - static_cast<int>(b[x])));
+    }
+    return sad;
+}
+
+/** Row SAD with the 16- and 8-wide blocks at compile-time widths. */
+std::uint32_t
+RowSad(const std::uint8_t *a, const std::uint8_t *b, int n)
+{
+    switch (n) {
+      case 16:
+        return RowSadN<16>(a, b, n);
+      case 8:
+        return RowSadN<8>(a, b, n);
+      default:
+        return RowSadN<0>(a, b, n);
+    }
+}
+
+} // namespace
+
 std::uint32_t
 BlockSad(const Plane &cur, const Plane &ref, int x0, int y0, int dx,
          int dy, int block, core::ExecutionContext &ctx,
          std::uint32_t abort_above)
 {
+    PIM_ASSERT(block > 0 && block <= kMaxBlock, "SAD block %d", block);
     auto &mem = ctx.mem();
     auto &ops = ctx.ops();
 
+    std::uint8_t cur_edge[kMaxBlock];
+    std::uint8_t ref_edge[kMaxBlock];
     std::uint32_t sad = 0;
     for (int y = 0; y < block; ++y) {
         if (sad > abort_above) {
             break; // candidate already worse than the incumbent
         }
-        for (int x = 0; x < block; ++x) {
-            const int c = cur.AtClamped(x0 + x, y0 + y);
-            const int r = ref.AtClamped(x0 + dx + x, y0 + dy + y);
-            sad += static_cast<std::uint32_t>(std::abs(c - r));
-        }
+        sad += RowSad(cur.ClampedRow(x0, y0 + y, block, cur_edge),
+                      ref.ClampedRow(x0 + dx, y0 + dy + y, block, ref_edge),
+                      block);
         // One current row + one reference row per block row.
         const int cy = std::clamp(y0 + y, 0, cur.h() - 1);
         const int ry = std::clamp(y0 + dy + y, 0, ref.h() - 1);
@@ -112,23 +148,23 @@ DiamondSearch(const Plane &cur, const std::vector<const Plane *> &refs,
 
 namespace {
 
-/** SAD of the interpolated predictor for @p mv against the source. */
+/**
+ * SAD of the interpolated predictor for @p mv against the source;
+ * @p pred (block x block) is the caller's reusable scratch.
+ */
 std::uint32_t
 InterpolatedSad(const Plane &cur, const Plane &ref, int x0, int y0,
-                const MotionVector &mv, int block,
+                const MotionVector &mv, int block, PredBlock &pred,
                 core::ExecutionContext &ctx)
 {
-    PredBlock pred(block, block);
     InterpolateBlock(ref, x0, y0, mv, pred, ctx);
     std::uint32_t sad = 0;
     auto &mem = ctx.mem();
     auto &ops = ctx.ops();
+    std::uint8_t cur_edge[kMaxBlock];
     for (int y = 0; y < block; ++y) {
-        for (int x = 0; x < block; ++x) {
-            sad += static_cast<std::uint32_t>(
-                std::abs(static_cast<int>(cur.AtClamped(x0 + x, y0 + y)) -
-                         static_cast<int>(pred.At(x, y))));
-        }
+        sad += RowSad(cur.ClampedRow(x0, y0 + y, block, cur_edge),
+                      &pred.At(0, y), block);
         const int cy = std::clamp(y0 + y, 0, cur.h() - 1);
         mem.Read(cur.SimAddr(std::clamp(x0, 0, cur.w() - 1), cy),
                  static_cast<Bytes>(block));
@@ -151,6 +187,7 @@ RefineSubpel(const Plane &cur, const Plane &ref, int x0, int y0,
     if (best.sad < static_cast<std::uint32_t>(block * block) / 2) {
         return best;
     }
+    PredBlock pred(block, block);
     for (int step : {4, 2, 1}) { // half, quarter, eighth pel
         static constexpr int kDx[4] = {1, -1, 0, 0};
         static constexpr int kDy[4] = {0, 0, 1, -1};
@@ -159,7 +196,7 @@ RefineSubpel(const Plane &cur, const Plane &ref, int x0, int y0,
             const MotionVector mv{best.mv.row + kDy[d] * step,
                                   best.mv.col + kDx[d] * step};
             const std::uint32_t sad =
-                InterpolatedSad(cur, ref, x0, y0, mv, block, ctx);
+                InterpolatedSad(cur, ref, x0, y0, mv, block, pred, ctx);
             ++best.probes;
             if (sad < best.sad) {
                 best.sad = sad;

@@ -1,5 +1,6 @@
 #include "workloads/video/transform.h"
 
+#include <array>
 #include <cmath>
 
 #include "common/logging.h"
@@ -14,21 +15,37 @@ constexpr int kN = 8;
 const double *
 DctBasis()
 {
-    static double basis[kN * kN];
-    static bool initialized = false;
-    if (!initialized) {
+    static const std::array<double, kN * kN> basis = [] {
+        std::array<double, kN * kN> b{};
         const double pi = 3.14159265358979323846;
         for (int k = 0; k < kN; ++k) {
             const double scale =
                 k == 0 ? std::sqrt(1.0 / kN) : std::sqrt(2.0 / kN);
             for (int n = 0; n < kN; ++n) {
-                basis[k * kN + n] =
+                b[k * kN + n] =
                     scale * std::cos(pi * (2 * n + 1) * k / (2.0 * kN));
             }
         }
-        initialized = true;
-    }
-    return basis;
+        return b;
+    }();
+    return basis.data();
+}
+
+/** The basis transposed, CT[n][k] = C[k][n]. */
+const double *
+DctBasisT()
+{
+    static const std::array<double, kN * kN> basis_t = [] {
+        const double *c = DctBasis();
+        std::array<double, kN * kN> t{};
+        for (int k = 0; k < kN; ++k) {
+            for (int n = 0; n < kN; ++n) {
+                t[n * kN + k] = c[k * kN + n];
+            }
+        }
+        return t;
+    }();
+    return basis_t.data();
 }
 
 /**
@@ -60,32 +77,46 @@ QuantStep(int qindex)
     return 4 + qindex * qindex / 49;
 }
 
+/*
+ * Each output of a pass is one dot product summed over its inputs in
+ * ascending order.  The loops keep that order per output but make the
+ * outputs the inner (vectorized) dimension, so every double is computed
+ * exactly as by the output-at-a-time form.
+ */
+
 void
 ForwardDct8x8(const Block8x8<std::int16_t> &residual,
               Block8x8<std::int32_t> &coeffs,
               core::ExecutionContext &ctx)
 {
     const double *c = DctBasis();
+    const double *ct = DctBasisT();
     double tmp[kN * kN];
-    // Rows.
+    // Rows: tmp[y][k] = sum_n C[k][n] * residual[y][n].
     for (int y = 0; y < kN; ++y) {
-        for (int k = 0; k < kN; ++k) {
-            double acc = 0.0;
-            for (int n = 0; n < kN; ++n) {
-                acc += c[k * kN + n] * residual[y * kN + n];
+        double acc[kN] = {};
+        for (int n = 0; n < kN; ++n) {
+            const double r = residual[y * kN + n];
+            for (int k = 0; k < kN; ++k) {
+                acc[k] += ct[n * kN + k] * r;
             }
-            tmp[y * kN + k] = acc;
+        }
+        for (int k = 0; k < kN; ++k) {
+            tmp[y * kN + k] = acc[k];
         }
     }
-    // Columns.
-    for (int x = 0; x < kN; ++x) {
-        for (int k = 0; k < kN; ++k) {
-            double acc = 0.0;
-            for (int n = 0; n < kN; ++n) {
-                acc += c[k * kN + n] * tmp[n * kN + x];
+    // Columns: coeffs[k][x] = sum_n C[k][n] * tmp[n][x].
+    for (int k = 0; k < kN; ++k) {
+        double acc[kN] = {};
+        for (int n = 0; n < kN; ++n) {
+            const double ckn = c[k * kN + n];
+            for (int x = 0; x < kN; ++x) {
+                acc[x] += ckn * tmp[n * kN + x];
             }
+        }
+        for (int x = 0; x < kN; ++x) {
             coeffs[k * kN + x] =
-                static_cast<std::int32_t>(std::lround(acc));
+                static_cast<std::int32_t>(std::lround(acc[x]));
         }
     }
     CountTransformOps(ctx, sizeof(residual), sizeof(coeffs));
@@ -98,24 +129,30 @@ InverseDct8x8(const Block8x8<std::int32_t> &coeffs,
 {
     const double *c = DctBasis();
     double tmp[kN * kN];
-    // Columns (inverse).
-    for (int x = 0; x < kN; ++x) {
-        for (int n = 0; n < kN; ++n) {
-            double acc = 0.0;
-            for (int k = 0; k < kN; ++k) {
-                acc += c[k * kN + n] * coeffs[k * kN + x];
+    // Columns (inverse): tmp[n][x] = sum_k C[k][n] * coeffs[k][x].
+    for (int n = 0; n < kN; ++n) {
+        double acc[kN] = {};
+        for (int k = 0; k < kN; ++k) {
+            const double ckn = c[k * kN + n];
+            for (int x = 0; x < kN; ++x) {
+                acc[x] += ckn * coeffs[k * kN + x];
             }
-            tmp[n * kN + x] = acc;
+        }
+        for (int x = 0; x < kN; ++x) {
+            tmp[n * kN + x] = acc[x];
         }
     }
-    // Rows (inverse).
+    // Rows (inverse): residual[y][n] = sum_k C[k][n] * tmp[y][k].
     for (int y = 0; y < kN; ++y) {
-        for (int n = 0; n < kN; ++n) {
-            double acc = 0.0;
-            for (int k = 0; k < kN; ++k) {
-                acc += c[k * kN + n] * tmp[y * kN + k];
+        double acc[kN] = {};
+        for (int k = 0; k < kN; ++k) {
+            const double t = tmp[y * kN + k];
+            for (int n = 0; n < kN; ++n) {
+                acc[n] += c[k * kN + n] * t;
             }
-            const long v = std::lround(acc);
+        }
+        for (int n = 0; n < kN; ++n) {
+            const long v = std::lround(acc[n]);
             residual[y * kN + n] = static_cast<std::int16_t>(
                 v < -32768 ? -32768 : (v > 32767 ? 32767 : v));
         }

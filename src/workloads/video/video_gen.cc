@@ -8,34 +8,66 @@ namespace pim::video {
 
 namespace {
 
-/** Smooth value-noise texture sample: cheap, deterministic, band-limited. */
-std::uint8_t
-TextureSample(std::uint32_t seed, double x, double y)
+/**
+ * Smooth value-noise texture (cheap, deterministic, band-limited),
+ * sampled along one row: the row's terms are computed once, and the
+ * four lattice hashes once per 16-pixel cell.  Each sample evaluates
+ * the same double expressions on the same values as a per-pixel
+ * evaluation would.
+ */
+class TextureRow
 {
-    auto lattice = [seed](int ix, int iy) {
-        std::uint32_t h = seed;
+  public:
+    TextureRow(std::uint32_t seed, double y) : seed_(seed)
+    {
+        const double fy = y / kCell;
+        iy_ = static_cast<int>(std::floor(fy));
+        const double ty = fy - iy_;
+        sy_ = ty * ty * (3 - 2 * ty); // smoothstep
+    }
+
+    std::uint8_t
+    Sample(double x)
+    {
+        const double fx = x / kCell;
+        const int ix = static_cast<int>(std::floor(fx));
+        if (!have_cell_ || ix != ix_) {
+            l00_ = Lattice(ix, iy_);
+            l10_ = Lattice(ix + 1, iy_);
+            l01_ = Lattice(ix, iy_ + 1);
+            l11_ = Lattice(ix + 1, iy_ + 1);
+            ix_ = ix;
+            have_cell_ = true;
+        }
+        const double tx = fx - ix;
+        const double sx = tx * tx * (3 - 2 * tx); // smoothstep
+        const double top = l00_ * (1 - sx) + l10_ * sx;
+        const double bot = l01_ * (1 - sx) + l11_ * sx;
+        return static_cast<std::uint8_t>(top * (1 - sy_) + bot * sy_);
+    }
+
+  private:
+    static constexpr double kCell = 16.0; // texture feature size, pixels
+
+    double
+    Lattice(int ix, int iy) const
+    {
+        std::uint32_t h = seed_;
         h ^= static_cast<std::uint32_t>(ix) * 0x9E3779B1u;
         h ^= static_cast<std::uint32_t>(iy) * 0x85EBCA77u;
         h ^= h >> 13;
         h *= 0xC2B2AE3Du;
         h ^= h >> 16;
         return static_cast<double>(h & 0xff);
-    };
-    const double cell = 16.0; // texture feature size in pixels
-    const double fx = x / cell;
-    const double fy = y / cell;
-    const int ix = static_cast<int>(std::floor(fx));
-    const int iy = static_cast<int>(std::floor(fy));
-    const double tx = fx - ix;
-    const double ty = fy - iy;
-    const double sx = tx * tx * (3 - 2 * tx); // smoothstep
-    const double sy = ty * ty * (3 - 2 * ty);
-    const double top = lattice(ix, iy) * (1 - sx) +
-                       lattice(ix + 1, iy) * sx;
-    const double bot = lattice(ix, iy + 1) * (1 - sx) +
-                       lattice(ix + 1, iy + 1) * sx;
-    return static_cast<std::uint8_t>(top * (1 - sy) + bot * sy);
-}
+    }
+
+    std::uint32_t seed_;
+    int iy_ = 0;
+    double sy_ = 0;
+    bool have_cell_ = false;
+    int ix_ = 0;
+    double l00_ = 0, l10_ = 0, l01_ = 0, l11_ = 0;
+};
 
 } // namespace
 
@@ -67,9 +99,9 @@ VideoGenerator::NextFrame()
 
     // Panning background.
     for (int y = 0; y < config_.height; ++y) {
+        TextureRow texture(static_cast<std::uint32_t>(config_.seed), y);
         for (int x = 0; x < config_.width; ++x) {
-            frame.y.At(x, y) = TextureSample(
-                static_cast<std::uint32_t>(config_.seed), x + pan_, y);
+            frame.y.At(x, y) = texture.Sample(x + pan_);
         }
     }
 
@@ -82,13 +114,13 @@ VideoGenerator::NextFrame()
             if (y < 0 || y >= config_.height) {
                 continue;
             }
+            TextureRow texture(o.texture_seed, y - o.y);
             for (int dx = 0; dx < o.w; ++dx) {
                 const int x = x0 + dx;
                 if (x < 0 || x >= config_.width) {
                     continue;
                 }
-                const int t = TextureSample(o.texture_seed,
-                                            x - o.x, y - o.y);
+                const int t = texture.Sample(x - o.x);
                 const int v = (o.base_luma * 3 + t) / 4;
                 frame.y.At(x, y) = static_cast<std::uint8_t>(v);
             }

@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <tuple>
+
 #include "common/rng.h"
 #include "workloads/ml/conv2d.h"
 #include "workloads/ml/gemm.h"
@@ -209,6 +211,100 @@ INSTANTIATE_TEST_SUITE_P(
                       std::make_tuple(9, 16, 17), // ragged panels
                       std::make_tuple(1, 64, 1),
                       std::make_tuple(33, 7, 12)));
+
+/** Pack, run QuantizedGemm and unpack: the production GEMM pipeline. */
+Matrix<std::int32_t>
+PackedGemm(const Matrix<std::uint8_t> &a, std::int32_t za,
+           const Matrix<std::uint8_t> &b, std::int32_t zb)
+{
+    ExecutionContext ctx(ExecutionTarget::kCpuOnly);
+    PackedMatrix pa(a.rows(), a.cols());
+    PackedMatrix pb(b.cols(), b.rows());
+    PackLhs(a, pa, ctx);
+    PackRhs(b, pb, ctx);
+    PackedResult pr(a.rows(), b.cols());
+    QuantizedGemm(pa, za, pb, zb, pr, ctx);
+    Matrix<std::int32_t> got(a.rows(), b.cols());
+    UnpackResult(pr, got, ctx);
+    return got;
+}
+
+void
+ExpectGemmMatchesReference(const Matrix<std::uint8_t> &a, std::int32_t za,
+                           const Matrix<std::uint8_t> &b, std::int32_t zb)
+{
+    const Matrix<std::int32_t> got = PackedGemm(a, za, b, zb);
+    Matrix<std::int32_t> want(a.rows(), b.cols());
+    ReferenceGemm(a, za, b, zb, want);
+    for (int r = 0; r < want.rows(); ++r) {
+        for (int c = 0; c < want.cols(); ++c) {
+            ASSERT_EQ(got.At(r, c), want.At(r, c))
+                << "(" << r << "," << c << ") za " << za << " zb " << zb;
+        }
+    }
+}
+
+/*
+ * QuantizedGemm accumulates raw uint8 products and applies the
+ * zero-point corrections from row/column sums afterwards; the split
+ * must be bit-equal to the direct (a - za)(b - zb) sum for every zero
+ * point, including the saturated operands that maximize each term.
+ */
+TEST(GemmZeroPoints, MatchesReferenceForEveryZeroPointAndFill)
+{
+    const std::int32_t zero_points[] = {0, 1, 127, 128, 254, 255};
+    for (const auto &[m, k, n] :
+         {std::tuple{5, 13, 11}, std::tuple{9, 8, 17}, std::tuple{1, 3, 8}}) {
+        Rng rng(static_cast<std::uint64_t>(m * 97 + k * 13 + n));
+        Matrix<std::uint8_t> random_a(m, k);
+        Matrix<std::uint8_t> random_b(k, n);
+        random_a.Randomize(rng);
+        random_b.Randomize(rng);
+        const Matrix<std::uint8_t> zeros_a(m, k, 0);
+        const Matrix<std::uint8_t> zeros_b(k, n, 0);
+        const Matrix<std::uint8_t> full_a(m, k, 255);
+        const Matrix<std::uint8_t> full_b(k, n, 255);
+        for (const std::int32_t za : zero_points) {
+            for (const std::int32_t zb : zero_points) {
+                SCOPED_TRACE(::testing::Message()
+                             << m << "x" << k << "x" << n);
+                ExpectGemmMatchesReference(random_a, za, random_b, zb);
+                ExpectGemmMatchesReference(zeros_a, za, zeros_b, zb);
+                ExpectGemmMatchesReference(full_a, za, full_b, zb);
+                ExpectGemmMatchesReference(full_a, za, zeros_b, zb);
+                ExpectGemmMatchesReference(zeros_a, za, random_b, zb);
+            }
+        }
+    }
+}
+
+TEST(GemmZeroPoints, Vgg19Fc6DepthNearInt32Limit)
+{
+    // VGG-19 fc6 has depth 25088: 25088 * 255 * 255 = 1.63e9 is within
+    // 25% of INT32_MAX, and the uint32 correction terms wrap mod 2^32
+    // on the way there.
+    constexpr int kDepth = 25088;
+    const Matrix<std::uint8_t> zeros_a(3, kDepth, 0);
+    const Matrix<std::uint8_t> zeros_b(kDepth, 9, 0);
+    const Matrix<std::uint8_t> full_a(3, kDepth, 255);
+    const Matrix<std::uint8_t> full_b(kDepth, 9, 255);
+    Rng rng(25088);
+    Matrix<std::uint8_t> random_a(3, kDepth);
+    Matrix<std::uint8_t> random_b(kDepth, 9);
+    random_a.Randomize(rng);
+    random_b.Randomize(rng);
+
+    const Matrix<std::int32_t> top = PackedGemm(full_a, 0, full_b, 0);
+    EXPECT_EQ(top.At(2, 8), kDepth * 255 * 255);
+    const Matrix<std::int32_t> bottom = PackedGemm(full_a, 0, zeros_b, 255);
+    EXPECT_EQ(bottom.At(0, 0), -kDepth * 255 * 255);
+
+    ExpectGemmMatchesReference(full_a, 0, full_b, 0);
+    ExpectGemmMatchesReference(zeros_a, 255, zeros_b, 255);
+    ExpectGemmMatchesReference(full_a, 0, zeros_b, 255);
+    ExpectGemmMatchesReference(random_a, 128, random_b, 128);
+    ExpectGemmMatchesReference(random_a, 1, full_b, 254);
+}
 
 TEST(Im2Col, IdentityKernelCopiesChannels)
 {

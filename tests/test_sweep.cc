@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -21,6 +22,7 @@
 #include <optional>
 #include <set>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "common/logging.h"
@@ -587,13 +589,27 @@ TEST(SweepRunner, ForEachRethrowsWorkerException)
 TEST(SweepRunner, ForEachStopsClaimingJobsAfterFailure)
 {
     std::atomic<int> ran_after_fail{0};
+    std::atomic<bool> thrown{false};
     std::atomic<bool> failed{false};
+    // Raises `failed` while the exception unwinds out of the job, so the
+    // counted window starts when ForEach can know about the failure —
+    // not at the throw, whose first-in-process unwinder setup can
+    // outlast thousands of trivial jobs on the other worker.
+    struct FailOnUnwind
+    {
+        std::atomic<bool> &flag;
+        ~FailOnUnwind() { flag.store(true); }
+    };
     try {
         SweepRunner(2).ForEach(10000, [&](std::size_t) {
             if (failed.load()) {
                 ran_after_fail.fetch_add(1);
-            } else {
-                failed.store(true);
+                // A counted job gives its core back: on a loaded host the
+                // unwinding worker is not starved while this one claims
+                // thousands of trivial jobs.
+                std::this_thread::sleep_for(std::chrono::milliseconds(1));
+            } else if (!thrown.exchange(true)) {
+                const FailOnUnwind guard{failed};
                 throw std::runtime_error("boom");
             }
         });
