@@ -249,6 +249,38 @@ TimeRun(const Fn &fn)
     return std::chrono::duration<double>(t1 - t0).count();
 }
 
+/** Median and spread of repeated wall-clock runs, in seconds. */
+struct RepeatedTiming
+{
+    double median = 0.0;
+    double min = 0.0;
+    double max = 0.0;
+};
+
+/**
+ * Time @p runs rounds of @p engines.size() engines, interleaved (each
+ * round runs every engine once, in order) so slow drift on a shared
+ * host hits every engine alike; each engine returns one run's seconds.
+ * @p runs should be odd so the median is one observed run.
+ */
+std::vector<RepeatedTiming>
+TimeInterleaved(int runs,
+                const std::vector<std::function<double()>> &engines)
+{
+    std::vector<std::vector<double>> samples(engines.size());
+    for (int r = 0; r < runs; ++r) {
+        for (std::size_t e = 0; e < engines.size(); ++e) {
+            samples[e].push_back(engines[e]());
+        }
+    }
+    std::vector<RepeatedTiming> out;
+    for (std::vector<double> &s : samples) {
+        std::sort(s.begin(), s.end());
+        out.push_back({s[s.size() / 2], s.front(), s.back()});
+    }
+    return out;
+}
+
 bool
 SameCounters(const sim::PerfCounters &a, const sim::PerfCounters &b)
 {
@@ -706,7 +738,7 @@ PrintProfilerStudy(bench::BenchOutput &out)
  * Counters must be bit-identical across all three (CI gates
  * sim_throughput.profiler_shard.bit_identical == 1) and the sharded
  * path must hold a >= 2x advantage over serial when the machine has
- * >= 4 cores (also gated).
+ * >= 4 cores (also gated), comparing medians of 5 interleaved runs.
  */
 void
 PrintProfilerShardStudy(bench::BenchOutput &out)
@@ -758,29 +790,34 @@ PrintProfilerShardStudy(bench::BenchOutput &out)
     }
     const sim::SweepRunner runner(std::max(2u, std::min(hw, 8u)));
 
-    // One timed run per engine: each run is seconds long (dozens of
-    // multi-million-entry passes), so run-to-run noise is small
-    // relative to the gated 2x margin.
+    // Each engine's time is the median of kRuns interleaved runs, with
+    // min/max reported beside it: the gate compares medians, so one
+    // run disturbed by a noisy neighbor cannot decide it.
+    constexpr int kRuns = 5;
     const auto timed_with = [&](const char *env, const char *value,
                                 sim::StudyResult *result) {
-        if (env != nullptr) {
-            ::setenv(env, value, 1);
-        }
-        const double s = TimeRun(
-            [&] { *result = runner.ProfileStudy(*mapped, spec); });
-        if (env != nullptr) {
-            ::unsetenv(env);
-        }
-        return s;
+        return [&, env, value, result] {
+            if (env != nullptr) {
+                ::setenv(env, value, 1);
+            }
+            const double s = TimeRun(
+                [&] { *result = runner.ProfileStudy(*mapped, spec); });
+            if (env != nullptr) {
+                ::unsetenv(env);
+            }
+            return s;
+        };
     };
 
     sim::StudyResult serial, sharded, no_overlap;
-    const double serial_s =
-        timed_with("PIM_SHARD_PASS", "off", &serial);
-    const double sharded_s = timed_with(nullptr, nullptr, &sharded);
-    const double no_overlap_s =
-        timed_with("PIM_DECODE_AHEAD", "off", &no_overlap);
+    const std::vector<RepeatedTiming> timings = TimeInterleaved(
+        kRuns, {timed_with("PIM_SHARD_PASS", "off", &serial),
+                timed_with(nullptr, nullptr, &sharded),
+                timed_with("PIM_DECODE_AHEAD", "off", &no_overlap)});
     ::unlink(path.c_str());
+    const double serial_s = timings[0].median;
+    const double sharded_s = timings[1].median;
+    const double no_overlap_s = timings[2].median;
 
     const auto same_study = [&](const sim::StudyResult &a,
                                 const sim::StudyResult &b) {
@@ -807,23 +844,26 @@ PrintProfilerShardStudy(bench::BenchOutput &out)
         spec.l1_points.size() * spec.llc_points.size() +
         spec.pim_points.size();
     Table table("Sharded profiling passes — " + std::to_string(points) +
-                "-point study, mmap-streamed trace");
-    table.SetHeader({"engine", "shards", "time (ms)", "speedup",
-                     "exact"});
+                "-point study, mmap-streamed trace, median of " +
+                std::to_string(kRuns) + " runs");
+    table.SetHeader({"engine", "shards", "median (ms)", "min (ms)",
+                     "max (ms)", "speedup", "exact"});
     const auto row = [&](const char *name, unsigned shards,
-                         double seconds) {
+                         const RepeatedTiming &t) {
         table.AddRow({
             name,
             std::to_string(shards),
-            Table::Num(seconds * 1e3, 1),
-            Table::Num(serial_s / seconds, 2) + "x",
+            Table::Num(t.median * 1e3, 1),
+            Table::Num(t.min * 1e3, 1),
+            Table::Num(t.max * 1e3, 1),
+            Table::Num(serial_s / t.median, 2) + "x",
             identical ? "bit-identical" : "MISMATCH",
         });
     };
-    row("serial passes (PIM_SHARD_PASS=off)", 1, serial_s);
-    row("sharded passes + decode-ahead", sharded.shards, sharded_s);
+    row("serial passes (PIM_SHARD_PASS=off)", 1, timings[0]);
+    row("sharded passes + decode-ahead", sharded.shards, timings[1]);
     row("sharded passes, no decode overlap", no_overlap.shards,
-        no_overlap_s);
+        timings[2]);
     out.Emit(table);
 
     const std::string prefix = "sim_throughput.profiler_shard";
@@ -834,9 +874,14 @@ PrintProfilerShardStudy(bench::BenchOutput &out)
                static_cast<double>(runner.thread_count()));
     out.Metric(prefix + ".shards",
                static_cast<double>(sharded.shards));
-    out.Metric(prefix + ".serial_ms", serial_s * 1e3);
-    out.Metric(prefix + ".sharded_ms", sharded_s * 1e3);
-    out.Metric(prefix + ".no_overlap_ms", no_overlap_s * 1e3);
+    out.Metric(prefix + ".runs", kRuns);
+    const char *const engines[] = {"serial", "sharded", "no_overlap"};
+    for (std::size_t e = 0; e < timings.size(); ++e) {
+        const std::string name = prefix + "." + engines[e];
+        out.Metric(name + "_ms", timings[e].median * 1e3);
+        out.Metric(name + "_min_ms", timings[e].min * 1e3);
+        out.Metric(name + "_max_ms", timings[e].max * 1e3);
+    }
     out.Metric(prefix + ".speedup", speedup);
     out.Metric(prefix + ".overlap_gain", no_overlap_s / sharded_s);
     out.Metric(prefix + ".bit_identical", identical ? 1.0 : 0.0);
@@ -1304,13 +1349,6 @@ PrintSimdStudy(bench::BenchOutput &out)
 void
 PrintMmapStudy(bench::BenchOutput &out)
 {
-    const auto best_of = [&](const std::function<double()> &run) {
-        double best = run();
-        for (int i = 0; i < 2; ++i) {
-            best = std::min(best, run());
-        }
-        return best;
-    };
 
     // Concatenate the tiling stream until partition + replay dominate
     // setup noise (same sizing as the shard study).
@@ -1344,51 +1382,66 @@ PrintMmapStudy(bench::BenchOutput &out)
         return;
     }
 
+    // Median of kRuns interleaved runs per path (min/max beside it):
+    // the gated ratio compares medians, not two lucky best-ofs.
+    constexpr int kRuns = 5;
     const sim::HierarchyConfig config = sim::HostHierarchyConfig();
     sim::PerfCounters compact_pc, mapped_pc;
-    const double compact_s = best_of([&] {
-        return TimeRun([&] {
-            sim::MemoryHierarchy mh(config);
-            compact.ReplayInto(mh.Top());
-            compact_pc = mh.Snapshot();
-        });
-    });
-    const double mapped_s = best_of([&] {
-        return TimeRun([&] {
-            sim::MemoryHierarchy mh(config);
-            mapped->ReplayInto(mh.Top());
-            mapped_pc = mh.Snapshot();
-        });
-    });
+    const std::vector<RepeatedTiming> timings = TimeInterleaved(
+        kRuns, {[&] {
+                    return TimeRun([&] {
+                        sim::MemoryHierarchy mh(config);
+                        compact.ReplayInto(mh.Top());
+                        compact_pc = mh.Snapshot();
+                    });
+                },
+                [&] {
+                    return TimeRun([&] {
+                        sim::MemoryHierarchy mh(config);
+                        mapped->ReplayInto(mh.Top());
+                        mapped_pc = mh.Snapshot();
+                    });
+                }});
     ::unlink(path.c_str());
+    const double compact_s = timings[0].median;
+    const double mapped_s = timings[1].median;
 
     const bool same = SameCounters(compact_pc, mapped_pc);
     const double raw_bytes = static_cast<double>(compact.RawBytes());
     const double accesses = static_cast<double>(compact.size());
 
     Table table("Out-of-core replay — in-RAM CompactTrace vs "
-                "mmap-backed container file");
-    table.SetHeader({"path", "time (ms)", "Maccesses/s", "GB/s (raw)",
-                     "exact"});
-    const auto row = [&](const std::string &name, double seconds) {
+                "mmap-backed container file, median of " +
+                std::to_string(kRuns) + " runs");
+    table.SetHeader({"path", "median (ms)", "min (ms)", "max (ms)",
+                     "Maccesses/s", "GB/s (raw)", "exact"});
+    const auto row = [&](const std::string &name,
+                         const RepeatedTiming &t) {
         table.AddRow({
             name,
-            Table::Num(seconds * 1e3, 1),
-            Table::Num(accesses / seconds / 1e6, 1),
-            Table::Num(raw_bytes / seconds / 1e9, 2),
+            Table::Num(t.median * 1e3, 1),
+            Table::Num(t.min * 1e3, 1),
+            Table::Num(t.max * 1e3, 1),
+            Table::Num(accesses / t.median / 1e6, 1),
+            Table::Num(raw_bytes / t.median / 1e9, 2),
             same ? "bit-identical" : "MISMATCH",
         });
     };
-    row("in-RAM compact decode", compact_s);
-    row("mmap streaming decode (lazy verify)", mapped_s);
+    row("in-RAM compact decode", timings[0]);
+    row("mmap streaming decode (lazy verify)", timings[1]);
     out.Emit(table);
 
     const std::string prefix = "sim_throughput.mmap";
     out.Metric(prefix + ".entries", accesses);
     out.Metric(prefix + ".encoded_bytes",
                static_cast<double>(compact.SizeBytes()));
+    out.Metric(prefix + ".runs", kRuns);
     out.Metric(prefix + ".compact_ms", compact_s * 1e3);
+    out.Metric(prefix + ".compact_min_ms", timings[0].min * 1e3);
+    out.Metric(prefix + ".compact_max_ms", timings[0].max * 1e3);
     out.Metric(prefix + ".mapped_ms", mapped_s * 1e3);
+    out.Metric(prefix + ".mapped_min_ms", timings[1].min * 1e3);
+    out.Metric(prefix + ".mapped_max_ms", timings[1].max * 1e3);
     out.Metric(prefix + ".compact_gb_per_s",
                raw_bytes / compact_s / 1e9);
     out.Metric(prefix + ".mapped_gb_per_s", raw_bytes / mapped_s / 1e9);

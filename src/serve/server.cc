@@ -764,6 +764,7 @@ PimServer::ExecuteStudyJob(Job &job)
         // write-back axis; later requests for other associativities
         // are still served from the snapshot (approximately for
         // writebacks, exactly for everything else).
+        // Unbounded stacks: the memo answers later, larger assoc axes.
         sim::StackProfilerConfig pcfg;
         pcfg.line_bytes = llc.line_bytes;
         pcfg.num_sets = sets;

@@ -42,6 +42,15 @@ AddHistogram(std::vector<std::uint64_t> &hist,
     }
 }
 
+/** Readouts above a pass's depth bound fail loudly, never wrongly. */
+void
+AssertWithinBound(const StackProfile &prof, std::uint32_t assoc)
+{
+    PIM_ASSERT(prof.max_assoc == 0 || assoc <= prof.max_assoc,
+               "associativity %u above the pass's depth bound %u", assoc,
+               prof.max_assoc);
+}
+
 /** Sum hist[d] for d < assoc (the Mattson hit readout). */
 std::uint64_t
 HitsBelow(const std::vector<std::uint64_t> &hist, std::uint32_t assoc)
@@ -56,9 +65,9 @@ HitsBelow(const std::vector<std::uint64_t> &hist, std::uint32_t assoc)
 }
 
 std::uint64_t
-Total(const std::vector<std::uint64_t> &hist, std::uint64_t cold)
+Total(const std::vector<std::uint64_t> &hist, std::uint64_t far)
 {
-    std::uint64_t total = cold;
+    std::uint64_t total = far;
     for (const std::uint64_t n : hist) {
         total += n;
     }
@@ -70,13 +79,13 @@ Total(const std::vector<std::uint64_t> &hist, std::uint64_t cold)
 std::uint64_t
 StackProfile::TotalReadProbes() const
 {
-    return Total(read_hist, read_cold);
+    return Total(read_hist, read_far);
 }
 
 std::uint64_t
 StackProfile::TotalWriteProbes() const
 {
-    return Total(write_hist, write_cold);
+    return Total(write_hist, write_far);
 }
 
 void
@@ -87,19 +96,22 @@ StackProfile::Merge(const StackProfile &other)
                    write_allocate == other.write_allocate &&
                    prefetcher == other.prefetcher,
                "merging profiles of different pass geometry");
+    PIM_ASSERT(max_assoc == other.max_assoc,
+               "merging profiles with different depth bounds (%u, %u)",
+               max_assoc, other.max_assoc);
     PIM_ASSERT(tracked == other.tracked,
                "merging profiles with different tracked lists");
     AddHistogram(read_hist, other.read_hist);
     AddHistogram(write_hist, other.write_hist);
-    read_cold += other.read_cold;
-    write_cold += other.write_cold;
+    read_far += other.read_far;
+    write_far += other.write_far;
     probes += other.probes;
     for (std::size_t j = 0; j < writebacks.size(); ++j) {
         writebacks[j] += other.writebacks[j];
     }
     prefetches_issued += other.prefetches_issued;
     AddHistogram(useful_hist, other.useful_hist);
-    useful_cold += other.useful_cold;
+    useful_far += other.useful_far;
 }
 
 int
@@ -129,6 +141,7 @@ StackProfile::StatsForAssociativity(std::uint32_t assoc,
                                     WritePolicy policy) const
 {
     PIM_ASSERT(assoc >= 1, "associativity must be >= 1");
+    AssertWithinBound(*this, assoc);
     // One allocating pass answers both allocating policies (their
     // residency is identical); the non-promoting no-write-allocate
     // policy needs the pass that treated writes the same way.
@@ -190,12 +203,13 @@ StackProfile::PrefetchForAssociativity(std::uint32_t assoc) const
 {
     PIM_ASSERT(prefetcher,
                "prefetch readout needs a pass with model_prefetcher");
+    AssertWithinBound(*this, assoc);
     PrefetchStats p;
     p.issued = prefetches_issued;
     // A consumed prefetch was useful for associativity A iff the
-    // demand that consumed it would have missed: first touch, or
-    // stack distance >= A.
-    p.useful = useful_cold;
+    // demand that consumed it would have missed: far, or stack
+    // distance >= A.
+    p.useful = useful_far;
     for (std::size_t d = assoc; d < useful_hist.size(); ++d) {
         p.useful += useful_hist[d];
     }
@@ -229,6 +243,7 @@ StackDistanceProfiler::StackDistanceProfiler(StackProfilerConfig config)
     profile_.num_sets = config_.num_sets;
     profile_.write_allocate = config_.write_allocate;
     profile_.prefetcher = config_.model_prefetcher;
+    profile_.max_assoc = config_.max_assoc;
 
     profile_.tracked = config_.tracked_assocs;
     auto &tracked = profile_.tracked;
@@ -240,6 +255,10 @@ StackDistanceProfiler::StackDistanceProfiler(StackProfilerConfig config)
                tracked.size());
     PIM_ASSERT(tracked.empty() || tracked.front() >= 1,
                "tracked associativity must be >= 1");
+    PIM_ASSERT(config_.max_assoc == 0 || tracked.empty() ||
+                   tracked.back() <= config_.max_assoc,
+               "tracked associativity %u above the depth bound %u",
+               tracked.empty() ? 0u : tracked.back(), config_.max_assoc);
     profile_.writebacks.assign(tracked.size(), 0);
     if (!tracked.empty()) {
         full_dirty_mask_ =
@@ -304,7 +323,7 @@ StackDistanceProfiler::ProbeLine(Address line_addr, bool is_write)
     // the lowest-match semantics are exact).
     const std::size_t d =
         simd::FindTagLinear(use_simd_, tags.data(), depth, line_addr);
-    const bool cold = d == depth;
+    const bool far = d == depth;
 
     if (config_.model_prefetcher) [[unlikely]] {
         // Layered model, stacks untouched.  Usefulness first: if this
@@ -313,8 +332,8 @@ StackDistanceProfiler::ProbeLine(Address line_addr, bool is_write)
         // covered a would-be miss.
         if (!pending_prefetches_.empty() &&
             pending_prefetches_.erase(line_addr) != 0) {
-            if (cold) {
-                ++profile_.useful_cold;
+            if (far) {
+                ++profile_.useful_far;
             } else {
                 if (d >= profile_.useful_hist.size()) {
                     profile_.useful_hist.resize(d + 1, 0);
@@ -337,8 +356,8 @@ StackDistanceProfiler::ProbeLine(Address line_addr, bool is_write)
     if (!config_.write_allocate && is_write) {
         // Non-promoting write: record the distance against the
         // read-built stack and leave residency untouched.
-        if (cold) {
-            ++profile_.write_cold;
+        if (far) {
+            ++profile_.write_far;
         } else {
             if (d >= profile_.write_hist.size()) {
                 profile_.write_hist.resize(d + 1, 0);
@@ -349,13 +368,15 @@ StackDistanceProfiler::ProbeLine(Address line_addr, bool is_write)
     }
 
     std::uint64_t promoted_dirty;
-    if (cold) {
-        // First touch: infinite distance.  Every tracked cache misses
-        // and fills the line with the access's dirtiness.
+    if (far) {
+        // Not among the stack's lines: every tracked cache misses and
+        // fills the line with the access's dirtiness.  Under a depth
+        // bound the line may be a reuse deeper than the cap; its dirty
+        // bits were clear when it fell off, so this is exact.
         if (is_write) {
-            ++profile_.write_cold;
+            ++profile_.write_far;
         } else {
-            ++profile_.read_cold;
+            ++profile_.read_far;
         }
         tags.emplace_back(); // room for the shift below
         dirty.emplace_back();
@@ -398,6 +419,14 @@ StackDistanceProfiler::ProbeLine(Address line_addr, bool is_write)
     }
     tags[0] = line_addr;
     dirty[0] = promoted_dirty;
+    // Depth bound: a far insert into a full stack leaves max_assoc + 1
+    // entries.  The bottom one has just crossed the last boundary
+    // (a == max_assoc, checked above), so its tracked bits are clear
+    // and no readout up to the cap can see it again.
+    if (config_.max_assoc != 0 && tags.size() > config_.max_assoc) {
+        tags.pop_back();
+        dirty.pop_back();
+    }
 }
 
 } // namespace pim::sim

@@ -50,6 +50,19 @@
  *    serve later queries — including associativities never requested
  *    the first time — without re-replaying.
  *
+ *  - *Depth bound.*  StackProfilerConfig::max_assoc caps every per-set
+ *    stack at the largest associativity the pass will be read at.  An
+ *    entry at depth >= max_assoc misses in every cache of max_assoc
+ *    ways or fewer, and has already crossed every tracked writeback
+ *    boundary (so its tracked dirty bits are clear): dropping it
+ *    changes no readout up to the cap.  What the cap does change is
+ *    the meaning of the "far" counts: a far probe is one whose line is
+ *    not among the top max_assoc lines of its set — a first touch or a
+ *    reuse deeper than the cap.  Unbounded (max_assoc = 0), far means
+ *    exactly "first touch".  Readouts above the cap assert; they never
+ *    return a wrong number.  The bound turns a streaming pass's
+ *    O(N x footprint / sets) tag scans into O(N x max_assoc).
+ *
  * Exactness:
  *  - hit/miss counts (read/write split included) are *exact* for any
  *    associativity — bit-identical to replaying the stream through
@@ -114,6 +127,12 @@ struct StackProfilerConfig
     bool write_allocate = true;
     /** Layer the next-line stream-prefetcher model on the probes. */
     bool model_prefetcher = false;
+    /**
+     * Depth bound of every per-set stack: the largest associativity
+     * this pass will be read at (0 = unbounded).  Must be >= every
+     * tracked associativity; readouts above it assert.
+     */
+    std::uint32_t max_assoc = 0;
 };
 
 /** Per-associativity readout of the stream-prefetcher model. */
@@ -144,7 +163,7 @@ struct PrefetchStats
 };
 
 /**
- * The analytic result of one profiling pass: histograms, cold counts,
+ * The analytic result of one profiling pass: histograms, far counts,
  * and tracked writeback counters as a plain value with the O(histogram)
  * readout methods.  Copyable, serializable field-by-field, and
  * sufficient to answer any associativity/policy query the pass
@@ -155,13 +174,19 @@ struct StackProfile
     Bytes line_bytes = kCacheLineBytes;
     std::size_t num_sets = 1;
     bool write_allocate = true;
+    /** The pass's depth bound (StackProfilerConfig::max_assoc). */
+    std::uint32_t max_assoc = 0;
 
     /** Reuse-distance histograms (index = stack distance). */
     std::vector<std::uint64_t> read_hist;
     std::vector<std::uint64_t> write_hist;
-    /** First-touch (infinite-distance) probe counts. */
-    std::uint64_t read_cold = 0;
-    std::uint64_t write_cold = 0;
+    /**
+     * Far probe counts: the line was not among the top max_assoc lines
+     * of its set (first touch, or a reuse deeper than the cap).  On an
+     * unbounded pass, exactly the first touches.
+     */
+    std::uint64_t read_far = 0;
+    std::uint64_t write_far = 0;
     /** Line-granular probes profiled. */
     std::uint64_t probes = 0;
 
@@ -172,14 +197,15 @@ struct StackProfile
     std::uint64_t prefetches_issued = 0;
     /** Usefulness by the consuming demand's stack distance. */
     std::vector<std::uint64_t> useful_hist;
-    std::uint64_t useful_cold = 0;
+    std::uint64_t useful_far = 0; ///< Consumed by a far demand probe.
 
     std::uint64_t TotalReadProbes() const;
     std::uint64_t TotalWriteProbes() const;
 
     /**
-     * Hit/miss counts (exact for any @p assoc >= 1 under any @p policy
-     * this pass supports).  Writebacks are exact when
+     * Hit/miss counts (exact for any 1 <= @p assoc <= max_assoc under
+     * any @p policy this pass supports; an @p assoc above a nonzero
+     * max_assoc asserts).  Writebacks are exact when
      * WritebacksExact(assoc, policy); an inexact readout reports 0 and
      * warns once per process.
      */
@@ -206,7 +232,10 @@ struct StackProfile
         std::uint32_t assoc,
         WritePolicy policy = WritePolicy::kWriteBackAllocate) const;
 
-    /** Prefetcher readout; requires the pass modeled the prefetcher. */
+    /**
+     * Prefetcher readout; requires the pass modeled the prefetcher and
+     * @p assoc within the depth bound.
+     */
     PrefetchStats PrefetchForAssociativity(std::uint32_t assoc) const;
 
     /** Index into tracked/writebacks, or -1 if not tracked. */
@@ -215,11 +244,12 @@ struct StackProfile
     /**
      * Accumulate @p other into this profile.  Valid when the two
      * profiles come from passes of identical geometry
-     * (line_bytes, num_sets, write_allocate, prefetcher flag, tracked
-     * list) over DISJOINT set partitions of one stream — the sharded
-     * pass shape, where every counter is a sum over per-set
-     * contributions and the partitions touch disjoint sets.  Distance
-     * histograms, cold counts, probe totals, tracked writeback
+     * (line_bytes, num_sets, write_allocate, prefetcher flag,
+     * max_assoc, tracked list) over DISJOINT set partitions of one
+     * stream — the sharded pass shape, where every counter is a sum
+     * over per-set contributions and the partitions touch disjoint
+     * sets.  Distance histograms, far counts, probe totals, tracked
+     * writeback
      * counters, and prefetch counters all add element-wise; the merged
      * profile answers every readout with the bit-identical value the
      * serial pass would have produced.  An empty profile (no probes,
@@ -301,9 +331,9 @@ class StackDistanceProfiler final : public MemorySink
     {
         return profile_.write_hist;
     }
-    /** First-touch (infinite-distance) probe counts. */
-    std::uint64_t cold_reads() const { return profile_.read_cold; }
-    std::uint64_t cold_writes() const { return profile_.write_cold; }
+    /** Far probe counts (see StackProfile::read_far). */
+    std::uint64_t far_reads() const { return profile_.read_far; }
+    std::uint64_t far_writes() const { return profile_.write_far; }
 
     const StackProfilerConfig &config() const { return config_; }
 
@@ -340,7 +370,9 @@ class StackDistanceProfiler final : public MemorySink
      * resident *and* dirty in the tracked_[j]-way cache.  Bit j is
      * cleared (with a writeback counted) when the entry sinks past
      * depth tracked_[j]; an entry at depth >= tracked_[j] therefore
-     * always has bit j clear.
+     * always has bit j clear.  Under a depth bound a stack holds at
+     * most max_assoc entries (max_assoc + 1 transiently, while a far
+     * insert's bottom entry crosses the last boundary).
      */
     std::vector<AlignedVector<Address>> stack_tags_;
     std::vector<std::vector<std::uint64_t>> stack_dirty_;

@@ -363,6 +363,10 @@ SweepRunner::ProfileLlcSweep(
         pc.line_bytes = pg.line_bytes;
         pc.num_sets = pg.num_sets;
         pc.tracked_assocs = pg.assocs;
+        // Depth bound: nothing below the deepest readout can change
+        // any answer (stack_profiler.h).
+        pc.max_assoc =
+            *std::max_element(pg.assocs.begin(), pg.assocs.end());
         pass_cfgs.push_back(std::move(pc));
     }
 
@@ -504,7 +508,12 @@ GroupStudyPoints(const std::vector<CacheConfig> &points,
     // Track write-back associativities for exact writebacks, capped at
     // the 64 dirty-bitmask slots per pass; overflow points keep exact
     // hits/misses but their readout is flagged writebacks_exact=false.
+    // Every stack is bounded at the group's largest associativity:
+    // every point is read out (tracked or not, any policy), and
+    // nothing deeper can change a readout (stack_profiler.h).
     for (StudyPassGroup &g : groups) {
+        g.cfg.max_assoc =
+            *std::max_element(g.assocs.begin(), g.assocs.end());
         std::vector<std::uint32_t> wb;
         for (std::size_t j = 0; j < g.points.size(); ++j) {
             if (g.policies[j] == WritePolicy::kWriteBackAllocate) {

@@ -243,6 +243,11 @@ class SweepRunner
      * exactly; see stack_profiler.h for where the pure histogram
      * would be approximate).
      *
+     * Each pass's stacks are depth-bounded at the largest
+     * associativity among its group's points (StackProfilerConfig::
+     * max_assoc): exact for every point it answers, and the pass's
+     * cost no longer grows with the footprint.
+     *
      * Each llc_points[i].size must be divisible by
      * associativity * line_bytes, as for any Cache.
      *
@@ -286,6 +291,12 @@ class SweepRunner
      *    miss stream is never materialized;
      *  - all PIM points together cost one more replay (profilers on
      *    the raw trace, no host hierarchy).
+     *
+     * Every pass is depth-bounded at the largest associativity among
+     * its group's points (StackProfilerConfig::max_assoc) — write-back,
+     * write-through and no-write-allocate points alike, since all are
+     * read out — so a pass's per-probe cost is bounded by that
+     * associativity rather than the trace's footprint.
      *
      * So an L x (G passes) x A-point grid costs L + 1 replays and
      * L x G + G_pim profiling passes, independent of A.  Counters are

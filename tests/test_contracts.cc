@@ -11,6 +11,7 @@
 #include "common/logging.h"
 #include "common/table.h"
 #include "core/execution_context.h"
+#include "sim/stack_profiler.h"
 #include "workloads/browser/bitmap.h"
 #include "workloads/browser/lzo.h"
 #include "workloads/browser/page_data.h"
@@ -188,6 +189,50 @@ TEST(Contracts, PimAlwaysCutsOffchipTrafficForStreamingKernel)
     const Bytes host = reports[0].counters.OffChipBytes();
     EXPECT_LE(reports[1].counters.OffChipBytes(), host);
     EXPECT_LE(reports[2].counters.OffChipBytes(), host);
+}
+
+/** A depth-bounded pass over a short stream that reaches the cap. */
+sim::StackProfile
+BoundedProfile(std::uint32_t max_assoc)
+{
+    sim::StackProfilerConfig cfg;
+    cfg.num_sets = 4;
+    cfg.tracked_assocs = {2};
+    cfg.max_assoc = max_assoc;
+    cfg.model_prefetcher = true;
+    sim::StackDistanceProfiler prof(cfg);
+    for (Address a = 0; a < 64 * 64; a += 64) {
+        prof.Access(a, 64, sim::AccessType::kWrite);
+    }
+    return prof.profile();
+}
+
+TEST(Contracts, StackProfileRefusesReadoutsAboveItsDepthBound)
+{
+    // A bounded pass cannot tell hits beyond its cap from far probes;
+    // it must fail loudly rather than report them as misses.
+    const sim::StackProfile prof = BoundedProfile(4);
+    EXPECT_DEATH((void)prof.StatsForAssociativity(5), "depth bound");
+    EXPECT_DEATH((void)prof.DramTrafficForAssociativity(
+                     5, sim::WritePolicy::kWriteThroughAllocate),
+                 "depth bound");
+    EXPECT_DEATH((void)prof.PrefetchForAssociativity(5), "depth bound");
+}
+
+TEST(Contracts, StackProfileMergeRefusesDifferentDepthBounds)
+{
+    sim::StackProfile a = BoundedProfile(4);
+    const sim::StackProfile b = BoundedProfile(8);
+    EXPECT_DEATH(a.Merge(b), "different depth bounds");
+}
+
+TEST(Contracts, StackProfilerRefusesTrackedAssocAboveDepthBound)
+{
+    sim::StackProfilerConfig cfg;
+    cfg.tracked_assocs = {2, 8};
+    cfg.max_assoc = 4;
+    EXPECT_DEATH({ sim::StackDistanceProfiler prof(cfg); },
+                 "above the depth bound");
 }
 
 } // namespace

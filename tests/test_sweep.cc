@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
@@ -365,8 +366,8 @@ TEST(StackProfiler, HandComputedSingleSetSequence)
     prof.Access(0x00, 4, AccessType::kRead);  // R A: distance 1
 
     EXPECT_EQ(prof.probes(), 3u);
-    EXPECT_EQ(prof.cold_writes(), 1u);
-    EXPECT_EQ(prof.cold_reads(), 1u);
+    EXPECT_EQ(prof.far_writes(), 1u);
+    EXPECT_EQ(prof.far_reads(), 1u);
     ASSERT_EQ(prof.read_histogram().size(), 2u);
     EXPECT_EQ(prof.read_histogram()[1], 1u);
 
@@ -1095,7 +1096,7 @@ TEST(StackProfilerPolicy, WriteThroughSharesTheAllocatingPass)
             assoc, WritePolicy::kWriteThroughAllocate);
         // Every write probe goes through, independent of assoc.
         EXPECT_EQ(d.write_requests,
-                  prof.cold_writes() +
+                  prof.far_writes() +
                       std::accumulate(prof.write_histogram().begin(),
                                       prof.write_histogram().end(),
                                       std::uint64_t{0}));
@@ -1408,14 +1409,173 @@ SameProfile(const StackProfile &a, const StackProfile &b)
 {
     return a.line_bytes == b.line_bytes && a.num_sets == b.num_sets &&
            a.write_allocate == b.write_allocate &&
+           a.max_assoc == b.max_assoc &&
            a.read_hist == b.read_hist && a.write_hist == b.write_hist &&
-           a.read_cold == b.read_cold && a.write_cold == b.write_cold &&
+           a.read_far == b.read_far && a.write_far == b.write_far &&
            a.probes == b.probes && a.tracked == b.tracked &&
            a.writebacks == b.writebacks &&
            a.prefetcher == b.prefetcher &&
            a.prefetches_issued == b.prefetches_issued &&
            a.useful_hist == b.useful_hist &&
-           a.useful_cold == b.useful_cold;
+           a.useful_far == b.useful_far;
+}
+
+/** hist[d], or 0 past the end (histograms grow on demand). */
+std::uint64_t
+HistAt(const std::vector<std::uint64_t> &hist, std::size_t d)
+{
+    return d < hist.size() ? hist[d] : 0;
+}
+
+/** Sum of hist[d] for d >= from. */
+std::uint64_t
+HistFrom(const std::vector<std::uint64_t> &hist, std::size_t from)
+{
+    std::uint64_t sum = 0;
+    for (std::size_t d = from; d < hist.size(); ++d) {
+        sum += hist[d];
+    }
+    return sum;
+}
+
+/**
+ * Depth-bounded passes against the unbounded pass on random streams:
+ * below the cap every histogram bucket is equal, far counts absorb
+ * exactly the first touches plus the reuses at depth >= cap, tracked
+ * writebacks are equal, and every readout up to the cap (stats, below
+ * traffic, prefetcher) is bit-identical.  Caps cover 1, 2, an odd
+ * value, exactly the max tracked associativity, and one above the
+ * footprint (where the bounded pass must equal the unbounded one).
+ */
+TEST(StackProfilerProperty, DepthBoundedPassMatchesUnboundedBelowCap)
+{
+    Rng rng(0xCA9);
+    int bounded_runs = 0;
+    for (int g = 0; g < 24; ++g) {
+        const AccessTrace trace =
+            RandomTrace(0xD00D + static_cast<std::uint64_t>(g), 6000);
+        StackProfilerConfig base;
+        base.line_bytes = Bytes{32} << rng.Range(0, 1); // 32 or 64
+        const std::size_t set_choices[] = {1, 4, 7, 16, 48};
+        base.num_sets = set_choices[rng.Range(0, 4)];
+        base.write_allocate = g % 3 != 2;
+        base.model_prefetcher = g % 2 == 1;
+        for (int t = static_cast<int>(rng.Range(1, 4)); t > 0; --t) {
+            base.tracked_assocs.push_back(
+                static_cast<std::uint32_t>(rng.Range(1, 12)));
+        }
+        const std::uint32_t max_tracked = *std::max_element(
+            base.tracked_assocs.begin(), base.tracked_assocs.end());
+
+        std::set<Address> lines;
+        for (std::size_t i = 0; i < trace.size(); ++i) {
+            const TraceEntry &e = trace[i];
+            for (Address a = e.addr() & ~(base.line_bytes - 1);
+                 a < e.addr() + e.bytes(); a += base.line_bytes) {
+                lines.insert(a);
+            }
+        }
+        const auto footprint = static_cast<std::uint32_t>(lines.size());
+
+        StackDistanceProfiler unbounded_prof(base);
+        trace.ReplayInto(unbounded_prof);
+        const StackProfile &ref = unbounded_prof.profile();
+
+        const WritePolicy policies[] = {
+            WritePolicy::kWriteBackAllocate,
+            WritePolicy::kWriteThroughAllocate,
+            WritePolicy::kWriteThroughNoAllocate,
+        };
+        for (const std::uint32_t cap :
+             {1u, 2u, 5u, max_tracked, footprint + 1}) {
+            StackProfilerConfig cfg = base;
+            cfg.max_assoc = cap;
+            std::erase_if(cfg.tracked_assocs,
+                          [&](std::uint32_t a) { return a > cap; });
+            StackDistanceProfiler prof(cfg);
+            trace.ReplayInto(prof);
+            const StackProfile &got = prof.profile();
+            const std::string what =
+                "g=" + std::to_string(g) + " sets=" +
+                std::to_string(base.num_sets) + " cap=" +
+                std::to_string(cap) +
+                (base.write_allocate ? " alloc" : " noalloc") +
+                (base.model_prefetcher ? " prefetch" : "");
+
+            EXPECT_EQ(got.probes, ref.probes) << what;
+            EXPECT_LE(got.read_hist.size(), cap) << what;
+            EXPECT_LE(got.write_hist.size(), cap) << what;
+            for (std::size_t d = 0; d < cap; ++d) {
+                EXPECT_EQ(HistAt(got.read_hist, d),
+                          HistAt(ref.read_hist, d)) << what;
+                EXPECT_EQ(HistAt(got.write_hist, d),
+                          HistAt(ref.write_hist, d)) << what;
+                EXPECT_EQ(HistAt(got.useful_hist, d),
+                          HistAt(ref.useful_hist, d)) << what;
+            }
+            EXPECT_EQ(got.read_far,
+                      ref.read_far + HistFrom(ref.read_hist, cap))
+                << what;
+            EXPECT_EQ(got.write_far,
+                      ref.write_far + HistFrom(ref.write_hist, cap))
+                << what;
+            EXPECT_EQ(got.useful_far,
+                      ref.useful_far + HistFrom(ref.useful_hist, cap))
+                << what;
+            EXPECT_EQ(got.prefetches_issued, ref.prefetches_issued)
+                << what;
+            for (std::size_t j = 0; j < got.tracked.size(); ++j) {
+                const int r = ref.TrackedIndex(got.tracked[j]);
+                ASSERT_GE(r, 0) << what;
+                EXPECT_EQ(got.writebacks[j],
+                          ref.writebacks[static_cast<std::size_t>(r)])
+                    << what;
+            }
+            for (std::uint32_t assoc = 1; assoc <= std::min(cap, 40u);
+                 ++assoc) {
+                for (const WritePolicy policy : policies) {
+                    if (base.write_allocate ==
+                        (policy == WritePolicy::kWriteThroughNoAllocate)) {
+                        continue; // the pass does not answer it
+                    }
+                    EXPECT_TRUE(SameCacheStats(
+                        got.StatsForAssociativity(assoc, policy),
+                        ref.StatsForAssociativity(assoc, policy)))
+                        << what << " assoc=" << assoc;
+                    EXPECT_EQ(got.WritebacksExact(assoc, policy),
+                              ref.WritebacksExact(assoc, policy))
+                        << what << " assoc=" << assoc;
+                    if (got.WritebacksExact(assoc, policy)) {
+                        EXPECT_TRUE(SameDramStats(
+                            got.DramTrafficForAssociativity(assoc,
+                                                            policy),
+                            ref.DramTrafficForAssociativity(assoc,
+                                                            policy)))
+                            << what << " assoc=" << assoc;
+                    }
+                }
+                if (base.model_prefetcher) {
+                    const PrefetchStats a =
+                        got.PrefetchForAssociativity(assoc);
+                    const PrefetchStats b =
+                        ref.PrefetchForAssociativity(assoc);
+                    EXPECT_EQ(a.issued, b.issued) << what;
+                    EXPECT_EQ(a.useful, b.useful) << what;
+                    EXPECT_EQ(a.demand_misses, b.demand_misses) << what;
+                }
+            }
+            if (cap > footprint) {
+                // No set ever fills: the bound never drops an entry.
+                StackProfile same_cap = ref;
+                same_cap.max_assoc = cap;
+                same_cap.tracked = got.tracked;
+                same_cap.writebacks = got.writebacks;
+                EXPECT_TRUE(SameProfile(got, same_cap)) << what;
+            }
+            ++bounded_runs;
+        }
+    }
+    EXPECT_EQ(bounded_runs, 24 * 5);
 }
 
 TEST(StackProfileMerge, EmptyIsIdentityInBothDirections)
@@ -1452,8 +1612,8 @@ TEST(StackProfileMerge, SelfMergeDoublesEveryCounter)
     StackProfile two = one;
     two.Merge(one);
     EXPECT_EQ(two.probes, 2 * one.probes);
-    EXPECT_EQ(two.read_cold, 2 * one.read_cold);
-    EXPECT_EQ(two.write_cold, 2 * one.write_cold);
+    EXPECT_EQ(two.read_far, 2 * one.read_far);
+    EXPECT_EQ(two.write_far, 2 * one.write_far);
     ASSERT_EQ(two.read_hist.size(), one.read_hist.size());
     for (std::size_t i = 0; i < one.read_hist.size(); ++i) {
         EXPECT_EQ(two.read_hist[i], 2 * one.read_hist[i]);
@@ -1511,9 +1671,10 @@ TEST(StackProfileMerge, DisjointSetPartitionsSumToWholeTraceProfile)
 /**
  * Tentpole acceptance for the sharded pass engine: across >= 40
  * random pass geometries (allocating and non-allocating, tracked and
- * untracked, nested-L1 and raw-trace), every supported shard/thread
- * count, and both resident and mmap-streamed sources, the merged
- * sharded snapshot must equal the serial pass bit for bit.  The
+ * untracked, depth-bounded and unbounded, nested-L1 and raw-trace),
+ * every supported shard/thread count, and both resident and
+ * mmap-streamed sources, the merged sharded snapshot must equal the
+ * serial pass bit for bit.  The
  * forced 8-block window pushes every run through the windowed
  * decode-ahead pipeline as well.
  */
@@ -1561,6 +1722,9 @@ TEST(ShardedPassProperty, RandomGeometriesBitIdenticalToSerial)
         if (g % 2 == 0) {
             pcfg.tracked_assocs = {assoc};
         }
+        if (g % 5 < 2) {
+            pcfg.max_assoc = assoc; // depth-bounded shard stacks
+        }
         const bool nested = g % 4 < 2;
         const CacheConfig *l1 = nested ? &host_l1 : nullptr;
 
@@ -1590,7 +1754,8 @@ TEST(ShardedPassProperty, RandomGeometriesBitIdenticalToSerial)
             std::to_string(assoc) +
             (pcfg.write_allocate ? " alloc" : " noalloc") +
             (nested ? " nested" : " raw") +
-            (pcfg.tracked_assocs.empty() ? " untracked" : " tracked");
+            (pcfg.tracked_assocs.empty() ? " untracked" : " tracked") +
+            (pcfg.max_assoc != 0 ? " bounded" : "");
 
         for (std::size_t s = 0; s < 2; ++s) {
             for (const unsigned threads : {1u, 2u, 8u}) {
