@@ -98,7 +98,8 @@ PrintAblations(bench::BenchOutput &out)
         // analytic readout (bit-identical to per-config replay; see
         // DESIGN.md Sections 5d and 5i).
         const sim::SweepRunner runner;
-        const sim::StudyResult study = runner.ProfileStudy(trace, spec);
+        const sim::StudyResult study = runner.ProfileStudy(
+            sim::AccessTraceSource(trace), spec);
 
         for (std::size_t i = 0; i < configs.size(); ++i) {
             const auto r = core::SynthesizeReport(

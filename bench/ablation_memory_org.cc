@@ -203,7 +203,8 @@ PrintMemoryOrgStudy(bench::BenchOutput &out)
         const sim::SweepRunner runner;
         std::vector<sim::StudyResult> studies(traces.size());
         for (std::size_t i = 0; i < traces.size(); ++i) {
-            studies[i] = runner.ProfileStudy(traces[i].trace, spec);
+            studies[i] = runner.ProfileStudy(
+                sim::AccessTraceSource(traces[i].trace), spec);
         }
 
         const auto mb = [](const sim::DramStats &d) {

@@ -77,10 +77,9 @@ PrintTraceStudy(bench::BenchOutput &out)
         sim::PimAccelHierarchyConfig(),
     };
 
-    // Fan-out replay: the three host-shaped configs share one L1
-    // simulation; counters are bit-identical to per-config ReplayTrace.
     const sim::SweepRunner runner;
-    const auto counters = runner.ReplayTraceFanout(trace, configs);
+    const auto counters =
+        runner.ReplayTrace(sim::AccessTraceSource(trace), configs);
     for (std::size_t i = 0; i < configs.size(); ++i) {
         const auto &pc = counters[i];
         sim::EnergyModel energy;

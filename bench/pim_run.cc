@@ -15,8 +15,8 @@
  *
  * `--sweep=llc` records each matched trace-replayable kernel's access
  * stream ONCE (KernelSession::Record) and derives the whole LLC
- * capacity ladder from that single recording via the one-pass
- * stack-distance engine (SweepRunner::ProfileLlcSweep) — no per-point
+ * capacity ladder from that single recording via a one-L1
+ * stack-distance study (SweepRunner::ProfileStudy) — no per-point
  * re-execution, with counters bit-identical to a cold replay per point
  * (tests/test_kernel_registry.cc cross-checks).
  */
@@ -392,19 +392,19 @@ LlcLadder(const sim::HierarchyConfig &base)
 }
 
 /** The per-kernel LLC ladder table + metrics (shared by both the
- *  in-RAM and corpus-backed sweep paths). */
+ *  in-RAM and corpus-backed sweep paths) from a one-L1 study. */
 void
 EmitLlcTable(bench::BenchOutput &out, const core::KernelSpec &spec,
              const std::vector<sim::CacheConfig> &ladder,
-             const std::vector<sim::PerfCounters> &points)
+             const sim::StudyResult &study)
 {
     Table table(spec.name + " — LLC capacity sweep (recorded "
                             "once, profiled analytically)");
     table.SetHeader({"LLC", "LLC miss rate", "LLC misses",
                      "writebacks", "DRAM bytes"});
     const std::string prefix = "pim_run.sweep." + spec.Slug() + ".llc_";
-    for (std::size_t i = 0; i < points.size(); ++i) {
-        const sim::PerfCounters &c = points[i];
+    for (std::size_t i = 0; i < ladder.size(); ++i) {
+        const sim::PerfCounters &c = study.host[0][i].counters;
         const auto kib =
             static_cast<unsigned long long>(ladder[i].size / 1024);
         table.AddRow({
@@ -431,6 +431,12 @@ EmitLlcSweep(bench::BenchOutput &out, bool compact,
 {
     const sim::HierarchyConfig base = sim::HostHierarchyConfig();
     const std::vector<sim::CacheConfig> ladder = LlcLadder(base);
+    // The ladder is the one-L1 study: the host L1 simulated once, every
+    // LLC point a readout of one profiling pass per set count.
+    sim::StudySpec llc_study;
+    llc_study.l1_points = {base.l1};
+    llc_study.llc_points = ladder;
+    llc_study.dram = base.dram;
     const sim::SweepRunner runner;
 
     for (const auto *spec : specs) {
@@ -443,7 +449,7 @@ EmitLlcSweep(bench::BenchOutput &out, bool compact,
             continue;
         }
         out.Section("sweep." + spec->Slug(), [&] {
-            std::vector<sim::PerfCounters> points;
+            sim::StudyResult study;
             if (corpus != nullptr) {
                 // Replay out-of-core from the memory-mapped corpus
                 // entry (recording it first on a miss): resident sweep
@@ -453,14 +459,15 @@ EmitLlcSweep(bench::BenchOutput &out, bool compact,
                     out.Metric("pim_run.sweep." + spec->Slug() +
                                    ".corpus_bytes_mapped",
                                static_cast<double>(mapped->SizeBytes()));
-                    points = runner.ProfileLlcSweep(*mapped, base, ladder);
+                    study = runner.ProfileStudy(*mapped, llc_study);
                 } else {
                     // Disk trouble: fall back to an in-RAM recording.
                     const core::RecordedCompactKernel rec =
                         session.RecordCompact(*spec);
-                    points = runner.ProfileLlcSweep(rec.trace, base, ladder);
+                    study = runner.ProfileStudy(
+                        sim::CompactTraceSource(rec.trace), llc_study);
                 }
-                EmitLlcTable(out, *spec, ladder, points);
+                EmitLlcTable(out, *spec, ladder, study);
                 return;
             }
             // ONE native recording pass; every ladder point is derived
@@ -481,11 +488,13 @@ EmitLlcSweep(bench::BenchOutput &out, bool compact,
                 out.Metric(tp + "compression_ratio",
                            encoded.CompressionRatio());
                 rec.trace = sim::AccessTrace{};
-                points = runner.ProfileLlcSweep(encoded, base, ladder);
+                study = runner.ProfileStudy(
+                    sim::CompactTraceSource(encoded), llc_study);
             } else {
-                points = runner.ProfileLlcSweep(rec.trace, base, ladder);
+                study = runner.ProfileStudy(
+                    sim::AccessTraceSource(rec.trace), llc_study);
             }
-            EmitLlcTable(out, *spec, ladder, points);
+            EmitLlcTable(out, *spec, ladder, study);
         });
     }
 }
@@ -564,7 +573,8 @@ EmitStudySweep(bench::BenchOutput &out, bool compact,
                 } else {
                     const core::RecordedCompactKernel rec =
                         session.RecordCompact(*spec);
-                    study = runner.ProfileStudy(rec.trace, grid);
+                    study = runner.ProfileStudy(
+                        sim::CompactTraceSource(rec.trace), grid);
                 }
             } else if (compact) {
                 core::RecordedKernel rec = session.Record(*spec);
@@ -573,10 +583,12 @@ EmitStudySweep(bench::BenchOutput &out, bool compact,
                 out.Metric(prefix + ".trace_compact_bytes",
                            static_cast<double>(encoded.SizeBytes()));
                 rec.trace = sim::AccessTrace{};
-                study = runner.ProfileStudy(encoded, grid);
+                study = runner.ProfileStudy(
+                    sim::CompactTraceSource(encoded), grid);
             } else {
                 const core::RecordedKernel rec = session.Record(*spec);
-                study = runner.ProfileStudy(rec.trace, grid);
+                study = runner.ProfileStudy(
+                    sim::AccessTraceSource(rec.trace), grid);
             }
 
             Table table(spec->name +

@@ -37,7 +37,6 @@
 
 #include "common/rng.h"
 #include "sim/hierarchy.h"
-#include "sim/sharded_replay.h"
 #include "sim/simd.h"
 #include "sim/sweep.h"
 #include "sim/trace.h"
@@ -340,11 +339,12 @@ PrintOneStream(bench::BenchOutput &out, const char *section,
 
     // Parallel sweep: 8 host-hierarchy design points at once.
     const sim::SweepRunner runner;
+    const sim::AccessTraceSource source(trace);
     const std::vector<sim::HierarchyConfig> sweep_configs(
         8, sim::HostHierarchyConfig());
     const double sweep_s = best_of([&] {
         return TimeRun(
-            [&] { runner.ReplayTrace(trace, sweep_configs); });
+            [&] { runner.ReplayTrace(source, sweep_configs); });
     });
     const double sweep_accesses =
         accesses * static_cast<double>(sweep_configs.size());
@@ -384,20 +384,18 @@ PrintOneStream(bench::BenchOutput &out, const char *section,
 }
 
 /**
- * The one-pass sweep study (this PR's headline): an N-point LLC
- * capacity sweep of the tiling stream, phrased at a fixed set count so
- * capacity grows with associativity.  Three engines run the identical
- * sweep:
+ * The one-pass LLC sweep: an N-point LLC capacity sweep of the tiling
+ * stream, phrased at a fixed set count so capacity grows with
+ * associativity.  Two engines run the identical sweep:
  *
  *   per-config  — ReplayTrace: N full cold replays (the reference),
- *   fan-out     — ReplayTraceFanout: one L1 pass per worker shard,
- *                 miss batches fed to all N LLC stacks while hot,
- *   profiler    — ProfileLlcSweep: one L1 pass + ONE stack-distance
- *                 pass over its miss stream, every point read out of
- *                 the reuse-distance histogram analytically.
+ *   profiler    — a one-L1 ProfileStudy: one L1 simulation whose miss
+ *                 stream feeds ONE stack-distance pass, every point
+ *                 read out of the reuse-distance histogram
+ *                 analytically.
  *
- * Counters must be bit-identical across all three (checked every run);
- * only wall-clock may differ.
+ * Counters must be bit-identical (checked every run); only wall-clock
+ * may differ.
  */
 void
 PrintSweepStudy(bench::BenchOutput &out)
@@ -414,6 +412,7 @@ PrintSweepStudy(bench::BenchOutput &out)
         browser::TileTexture(linear, tiled, ctx);
         ctx.DetachTrace();
     }
+    const sim::AccessTraceSource source(trace);
 
     // Fixed 1024-set LLC geometry, capacity swept through
     // associativity: 64 KiB ... 4 MiB in 12 points, one profiling
@@ -422,13 +421,16 @@ PrintSweepStudy(bench::BenchOutput &out)
                                                12, 16, 24, 32, 48, 64};
     constexpr std::size_t kSets = 1024;
     constexpr Bytes kLine = 64;
+    const sim::HierarchyConfig host = sim::HostHierarchyConfig();
+    sim::StudySpec spec;
+    spec.l1_points = {host.l1};
+    spec.dram = host.dram;
     std::vector<sim::HierarchyConfig> configs;
-    std::vector<sim::CacheConfig> llc_points;
     for (const std::uint32_t a : assocs) {
-        sim::HierarchyConfig hier = sim::HostHierarchyConfig();
+        sim::HierarchyConfig hier = host;
         hier.llc->size = kSets * a * kLine;
         hier.llc->associativity = a;
-        llc_points.push_back(*hier.llc);
+        spec.llc_points.push_back(*hier.llc);
         configs.push_back(std::move(hier));
     }
 
@@ -441,27 +443,21 @@ PrintSweepStudy(bench::BenchOutput &out)
     };
 
     const sim::SweepRunner runner;
-    std::vector<sim::PerfCounters> ref, fanout, profiled;
+    std::vector<sim::PerfCounters> ref;
+    sim::StudyResult profiled;
     const double per_config_s = best_of([&] {
         return TimeRun(
-            [&] { ref = runner.ReplayTrace(trace, configs); });
-    });
-    const double fanout_s = best_of([&] {
-        return TimeRun(
-            [&] { fanout = runner.ReplayTraceFanout(trace, configs); });
+            [&] { ref = runner.ReplayTrace(source, configs); });
     });
     const double profiler_s = best_of([&] {
-        return TimeRun([&] {
-            profiled = runner.ProfileLlcSweep(
-                trace, sim::HostHierarchyConfig(), llc_points);
-        });
+        return TimeRun(
+            [&] { profiled = runner.ProfileStudy(source, spec); });
     });
 
-    bool fanout_same = true, profiler_same = true;
+    bool profiler_same = true;
     for (std::size_t i = 0; i < configs.size(); ++i) {
-        fanout_same = fanout_same && SameCounters(ref[i], fanout[i]);
-        profiler_same =
-            profiler_same && SameCounters(ref[i], profiled[i]);
+        profiler_same = profiler_same &&
+                        SameCounters(ref[i], profiled.host[0][i].counters);
     }
 
     Table table("One-pass sweep — 12-point LLC capacity sweep, "
@@ -479,8 +475,7 @@ PrintSweepStudy(bench::BenchOutput &out)
         });
     };
     row("per-config replay (reference)", "12", per_config_s, true);
-    row("fan-out replay (shared L1)", "1/shard", fanout_s, fanout_same);
-    row("stack-distance profiler", "1 (+miss stream)", profiler_s,
+    row("stack-distance profiler (one-L1 study)", "1", profiler_s,
         profiler_same);
     out.Emit(table);
 
@@ -489,43 +484,37 @@ PrintSweepStudy(bench::BenchOutput &out)
     out.Metric("sim_throughput.sweep.trace.bytes",
                static_cast<double>(trace.SizeBytes()));
     out.Metric("sim_throughput.sweep.per_config_ms", per_config_s * 1e3);
-    out.Metric("sim_throughput.sweep.fanout_ms", fanout_s * 1e3);
     out.Metric("sim_throughput.sweep.profiler_ms", profiler_s * 1e3);
-    out.Metric("sim_throughput.sweep.fanout_speedup",
-               per_config_s / fanout_s);
     out.Metric("sim_throughput.sweep.profiler_speedup",
                per_config_s / profiler_s);
     out.Metric("sim_throughput.sweep.bit_identical",
-               fanout_same && profiler_same ? 1.0 : 0.0);
+               profiler_same ? 1.0 : 0.0);
 
-    std::printf("sweep counters fan-out %s / profiler %s the "
-                "per-config reference (threads: %u)\n\n",
-                fanout_same ? "match" : "DO NOT match",
-                profiler_same ? "match" : "DO NOT match",
+    std::printf("sweep counters: profiler %s the per-config reference "
+                "(threads: %u)\n\n",
+                profiler_same ? "matches" : "DOES NOT match",
                 runner.thread_count());
 }
 
 /**
- * The generalized one-pass study (this PR's headline): a two-level
- * host-sensitivity grid — every (L1 geometry x LLC capacity/policy
- * ladder) combination plus the raw-trace PIM targets — answered two
- * ways:
+ * The generalized one-pass study: a two-level host-sensitivity grid —
+ * every (L1 geometry x LLC capacity/policy ladder) combination plus
+ * the raw-trace PIM targets — answered two ways:
  *
- *   fan-out  — ReplayTraceFanout: the reference fast path.  One L1
- *              simulation per (shard of a) group, miss batches fed to
- *              every member's LLC/DRAM stack; cost grows with the
- *              number of LLC design points.
- *   study    — ProfileStudy: one L1 simulation per distinct L1
- *              geometry, its miss stream fanned into ONE nested
- *              stack-distance pass per (line, sets, allocate) group;
- *              every LLC point on the ladder is an O(histogram)
- *              readout, so cost is independent of ladder length.
+ *   per-config — ReplayTrace: one full cold replay per design point,
+ *                the reference; cost grows with the number of points.
+ *   study      — ProfileStudy: one L1 simulation per distinct L1
+ *                geometry, its miss stream fanned into ONE nested
+ *                stack-distance pass per (line, sets, allocate) group;
+ *                every LLC point on the ladder is an O(histogram)
+ *                readout, so cost is independent of ladder length.
  *
  * Counters must be bit-identical at every tracked design point
  * (checked each run; CI fails if sim_throughput.profiler.bit_identical
- * is not 1) and the study must hold a >= 5x advantage, which CI also
- * gates.  The stream prefetcher axis is modeled in a separate untimed
- * pass (it adds telemetry, not counters) so the timed comparison stays
+ * is not 1) and the study must hold a >= 5x advantage, comparing
+ * medians of 5 interleaved runs, which CI also gates.  The stream
+ * prefetcher axis is modeled in a separate untimed pass (it adds
+ * telemetry, not counters) so the timed comparison stays
  * apples-to-apples.
  */
 /** First-ladder length in ProfilerStudyGrid (prefetch sample index). */
@@ -548,8 +537,8 @@ ProfilerStudyGrid()
     spec.l1_points = {host.l1, small_l1};
     // A dense associativity (= capacity) ladder: every point in a
     // (set count, allocate) group beyond the first is a free
-    // histogram readout for the study, while costing fan-out one more
-    // LLC simulation per L1 geometry.
+    // histogram readout for the study, while costing the per-config
+    // reference one more full replay per L1 geometry.
     const std::vector<std::uint32_t> ladder = {
         1,  2,  3,  4,  5,  6,  7,  8,  9,  10, 11, 12, 13, 14,
         15, 16, 20, 24, 28, 32, 36, 40, 44, 48, 52, 56, 60, 64};
@@ -561,8 +550,8 @@ ProfilerStudyGrid()
             sim::CacheConfig{"llc", kSets * a * kLine, a, kLine});
     }
     // Two more set-count ladders: each costs the study ONE extra
-    // profiling pass, while costing fan-out one LLC simulation per
-    // point per L1.
+    // profiling pass, while costing the per-config reference one full
+    // replay per point per L1.
     for (const std::uint32_t a : {1u,  2u,  3u,  4u,  6u,  8u,  10u,
                                   12u, 16u, 20u, 24u, 32u, 40u, 48u,
                                   56u, 64u}) {
@@ -607,9 +596,10 @@ PrintProfilerStudy(bench::BenchOutput &out)
         ctx.DetachTrace();
     }
 
+    const sim::AccessTraceSource source(trace);
     const sim::StudySpec spec = ProfilerStudyGrid();
 
-    // The identical grid as explicit hierarchies for the fan-out
+    // The identical grid as explicit hierarchies for the per-config
     // reference: row-major (l1, llc), PIM points appended.
     std::vector<sim::HierarchyConfig> configs;
     for (const sim::CacheConfig &l1 : spec.l1_points) {
@@ -630,66 +620,74 @@ PrintProfilerStudy(bench::BenchOutput &out)
         configs.push_back(std::move(h));
     }
 
-    const auto best_of = [&](const std::function<double()> &run) {
-        double best = run();
-        for (int i = 0; i < 2; ++i) {
-            best = std::min(best, run());
-        }
-        return best;
-    };
-
+    // Median of kRuns interleaved runs per engine (min/max beside it):
+    // the gated speedup compares medians, not two single shots.
+    constexpr int kRuns = 5;
     const sim::SweepRunner runner;
-    std::vector<sim::PerfCounters> fanout;
+    std::vector<sim::PerfCounters> ref;
     sim::StudyResult study;
-    const double fanout_s = best_of([&] {
-        return TimeRun(
-            [&] { fanout = runner.ReplayTraceFanout(trace, configs); });
-    });
-    const double study_s = best_of([&] {
-        return TimeRun([&] { study = runner.ProfileStudy(trace, spec); });
-    });
+    const std::vector<RepeatedTiming> timings = TimeInterleaved(
+        kRuns, {[&] {
+                    return TimeRun(
+                        [&] { ref = runner.ReplayTrace(source, configs); });
+                },
+                [&] {
+                    return TimeRun(
+                        [&] { study = runner.ProfileStudy(source, spec); });
+                }});
+    const double per_config_s = timings[0].median;
+    const double study_s = timings[1].median;
 
     const std::size_t cols = spec.llc_points.size();
     bool same = true, exact = true;
     for (std::size_t i = 0; i < spec.l1_points.size(); ++i) {
         for (std::size_t j = 0; j < cols; ++j) {
             same = same && SameCounters(study.host[i][j].counters,
-                                        fanout[i * cols + j]);
+                                        ref[i * cols + j]);
             exact = exact && study.host[i][j].writebacks_exact;
         }
     }
     for (std::size_t j = 0; j < spec.pim_points.size(); ++j) {
         same = same &&
-               SameCounters(
-                   study.pim[j].counters,
-                   fanout[spec.l1_points.size() * cols + j]);
+               SameCounters(study.pim[j].counters,
+                            ref[spec.l1_points.size() * cols + j]);
         exact = exact && study.pim[j].writebacks_exact;
     }
 
-    const double speedup = fanout_s / study_s;
+    const double speedup = per_config_s / study_s;
     Table table("Generalized one-pass study — " +
                 std::to_string(configs.size()) +
-                "-point two-level host grid + PIM, tiling stream");
-    table.SetHeader(
-        {"engine", "trace replays", "time (ms)", "speedup", "exact"});
-    table.AddRow({"fan-out replay (reference fast path)",
-                  "1/L1-shard x LLC sims",
-                  Table::Num(fanout_s * 1e3, 1), "1.00x",
-                  "bit-identical"});
-    table.AddRow({"one-pass study (nested profilers)",
-                  std::to_string(study.trace_replays) + " (+" +
-                      std::to_string(study.profile_passes) +
-                      " passes)",
-                  Table::Num(study_s * 1e3, 1),
-                  Table::Num(speedup, 2) + "x",
-                  same && exact ? "bit-identical" : "MISMATCH"});
+                "-point two-level host grid + PIM, tiling stream, "
+                "median of " +
+                std::to_string(kRuns) + " runs");
+    table.SetHeader({"engine", "trace replays", "median (ms)",
+                     "min (ms)", "max (ms)", "speedup", "exact"});
+    const auto row = [&](const std::string &name,
+                         const std::string &replays,
+                         const RepeatedTiming &t) {
+        table.AddRow({
+            name,
+            replays,
+            Table::Num(t.median * 1e3, 1),
+            Table::Num(t.min * 1e3, 1),
+            Table::Num(t.max * 1e3, 1),
+            Table::Num(per_config_s / t.median, 2) + "x",
+            same && exact ? "bit-identical" : "MISMATCH",
+        });
+    };
+    row("per-config replay (reference)", std::to_string(configs.size()),
+        timings[0]);
+    row("one-pass study (nested profilers)",
+        std::to_string(study.trace_replays) + " (+" +
+            std::to_string(study.profile_passes) + " passes)",
+        timings[1]);
     out.Emit(table);
 
     // The prefetcher axis, layered on the same grid (untimed — it is
     // telemetry on top of identical counters; see stack_profiler.h).
     sim::StudySpec pf_spec = spec;
     pf_spec.model_prefetcher = true;
-    const sim::StudyResult pf = runner.ProfileStudy(trace, pf_spec);
+    const sim::StudyResult pf = runner.ProfileStudy(source, pf_spec);
     const sim::PrefetchStats pf_sample =
         pf.host[0][kStudyFirstLadderLen - 1].prefetch;
 
@@ -703,8 +701,14 @@ PrintProfilerStudy(bench::BenchOutput &out)
                static_cast<double>(study.trace_replays));
     out.Metric(prefix + ".profile_passes",
                static_cast<double>(study.profile_passes));
-    out.Metric(prefix + ".fanout_ms", fanout_s * 1e3);
-    out.Metric(prefix + ".study_ms", study_s * 1e3);
+    out.Metric(prefix + ".runs", kRuns);
+    const char *const engines[] = {"per_config", "study"};
+    for (std::size_t e = 0; e < timings.size(); ++e) {
+        const std::string name = prefix + "." + engines[e];
+        out.Metric(name + "_ms", timings[e].median * 1e3);
+        out.Metric(name + "_min_ms", timings[e].min * 1e3);
+        out.Metric(name + "_max_ms", timings[e].max * 1e3);
+    }
     out.Metric(prefix + ".speedup", speedup);
     out.Metric(prefix + ".bit_identical", same && exact ? 1.0 : 0.0);
     out.Metric(prefix + ".prefetch.issued",
@@ -712,9 +716,9 @@ PrintProfilerStudy(bench::BenchOutput &out)
     out.Metric(prefix + ".prefetch.accuracy", pf_sample.Accuracy());
     out.Metric(prefix + ".prefetch.coverage", pf_sample.Coverage());
 
-    std::printf("study counters %s the fan-out reference across %zu "
-                "points (%zu replays + %zu profile passes vs %zu LLC "
-                "sims; threads: %u)\n\n",
+    std::printf("study counters %s the per-config reference across "
+                "%zu points (%zu replays + %zu profile passes vs %zu "
+                "replays; threads: %u)\n\n",
                 same && exact ? "match" : "DO NOT match",
                 configs.size(), study.trace_replays,
                 study.profile_passes, configs.size(),
@@ -722,20 +726,16 @@ PrintProfilerStudy(bench::BenchOutput &out)
 }
 
 /**
- * Set-sharded profiling passes + pipelined out-of-core decode (this
- * PR's headline): the 122-point study grid answered three ways over an
- * mmap-backed container file —
+ * Set-sharded profiling passes: the 122-point study grid answered two
+ * ways over an mmap-backed container file —
  *
- *   serial     — PIM_SHARD_PASS=off: the sequential pass engine (one
- *                thread replays each profiling pass),
- *   sharded    — set-sharded passes: every pass split across per-set
- *                shard workers, shard snapshots merged
- *                (StackProfile::Merge / CacheStats::operator+=),
- *   no-overlap — sharded with PIM_DECODE_AHEAD=off: same shards, but
- *                replay workers wait on inline window decode instead
- *                of the decode-ahead producer.
+ *   serial  — PIM_SHARD_PASS=off: the sequential pass engine (one
+ *             thread replays each profiling pass),
+ *   sharded — set-sharded passes: every pass split across per-set
+ *             shard workers, shard snapshots merged
+ *             (StackProfile::Merge / CacheStats::operator+=).
  *
- * Counters must be bit-identical across all three (CI gates
+ * Counters must be bit-identical (CI gates
  * sim_throughput.profiler_shard.bit_identical == 1) and the sharded
  * path must hold a >= 2x advantage over serial when the machine has
  * >= 4 cores (also gated), comparing medians of 5 interleaved runs.
@@ -744,9 +744,8 @@ void
 PrintProfilerShardStudy(bench::BenchOutput &out)
 {
     // Stress stream: the tiling trace concatenated to out-of-core
-    // scale (same sizing as the shard/mmap studies), saved as a
-    // container file so every engine streams blocks through the
-    // windowed path — the sharded one with its decode-ahead producer.
+    // scale, saved as a container file so both engines stream blocks
+    // from it — the sharded one through its windowed partition.
     sim::CompactTrace compact;
     {
         const sim::AccessTrace base = RecordTilingTrace();
@@ -794,30 +793,26 @@ PrintProfilerShardStudy(bench::BenchOutput &out)
     // min/max reported beside it: the gate compares medians, so one
     // run disturbed by a noisy neighbor cannot decide it.
     constexpr int kRuns = 5;
-    const auto timed_with = [&](const char *env, const char *value,
-                                sim::StudyResult *result) {
-        return [&, env, value, result] {
-            if (env != nullptr) {
-                ::setenv(env, value, 1);
+    const auto timed = [&](bool serial_passes, sim::StudyResult *result) {
+        return [&, serial_passes, result] {
+            if (serial_passes) {
+                ::setenv("PIM_SHARD_PASS", "off", 1);
             }
             const double s = TimeRun(
                 [&] { *result = runner.ProfileStudy(*mapped, spec); });
-            if (env != nullptr) {
-                ::unsetenv(env);
+            if (serial_passes) {
+                ::unsetenv("PIM_SHARD_PASS");
             }
             return s;
         };
     };
 
-    sim::StudyResult serial, sharded, no_overlap;
+    sim::StudyResult serial, sharded;
     const std::vector<RepeatedTiming> timings = TimeInterleaved(
-        kRuns, {timed_with("PIM_SHARD_PASS", "off", &serial),
-                timed_with(nullptr, nullptr, &sharded),
-                timed_with("PIM_DECODE_AHEAD", "off", &no_overlap)});
+        kRuns, {timed(true, &serial), timed(false, &sharded)});
     ::unlink(path.c_str());
     const double serial_s = timings[0].median;
     const double sharded_s = timings[1].median;
-    const double no_overlap_s = timings[2].median;
 
     const auto same_study = [&](const sim::StudyResult &a,
                                 const sim::StudyResult &b) {
@@ -836,8 +831,7 @@ PrintProfilerShardStudy(bench::BenchOutput &out)
         }
         return same;
     };
-    const bool identical = same_study(serial, sharded) &&
-                           same_study(serial, no_overlap);
+    const bool identical = same_study(serial, sharded);
     const double speedup = serial_s / sharded_s;
 
     const std::size_t points =
@@ -861,9 +855,7 @@ PrintProfilerShardStudy(bench::BenchOutput &out)
         });
     };
     row("serial passes (PIM_SHARD_PASS=off)", 1, timings[0]);
-    row("sharded passes + decode-ahead", sharded.shards, timings[1]);
-    row("sharded passes, no decode overlap", no_overlap.shards,
-        timings[2]);
+    row("sharded passes", sharded.shards, timings[1]);
     out.Emit(table);
 
     const std::string prefix = "sim_throughput.profiler_shard";
@@ -875,7 +867,7 @@ PrintProfilerShardStudy(bench::BenchOutput &out)
     out.Metric(prefix + ".shards",
                static_cast<double>(sharded.shards));
     out.Metric(prefix + ".runs", kRuns);
-    const char *const engines[] = {"serial", "sharded", "no_overlap"};
+    const char *const engines[] = {"serial", "sharded"};
     for (std::size_t e = 0; e < timings.size(); ++e) {
         const std::string name = prefix + "." + engines[e];
         out.Metric(name + "_ms", timings[e].median * 1e3);
@@ -883,119 +875,17 @@ PrintProfilerShardStudy(bench::BenchOutput &out)
         out.Metric(name + "_max_ms", timings[e].max * 1e3);
     }
     out.Metric(prefix + ".speedup", speedup);
-    out.Metric(prefix + ".overlap_gain", no_overlap_s / sharded_s);
     out.Metric(prefix + ".bit_identical", identical ? 1.0 : 0.0);
 
     std::printf("sharded study %.2fx vs serial passes (%u shards, "
-                "%u threads, decode overlap %.2fx); counters %s\n\n",
+                "%u threads); counters %s\n\n",
                 speedup, sharded.shards, runner.thread_count(),
-                no_overlap_s / sharded_s,
                 identical ? "bit-identical" : "DO NOT match");
 }
 
 /**
- * Intra-trace shard scaling (this PR's headline): ONE (trace, config)
- * replay split across set-shards, each shard a private cold hierarchy
- * on its own worker, merged counters bit-identical to the serial
- * replay.  The stress stream is the tiling trace concatenated until it
- * is large enough that partition + replay dominate thread startup.
- */
-void
-PrintShardStudy(bench::BenchOutput &out)
-{
-    const sim::AccessTrace base = RecordTilingTrace();
-    sim::AccessTrace trace;
-    constexpr std::size_t kTargetEntries = 4u << 20;
-    const std::size_t repeats =
-        std::max<std::size_t>(1, (kTargetEntries + base.size() - 1) /
-                                     std::max<std::size_t>(1, base.size()));
-    trace.Reserve(base.size() * repeats);
-    for (std::size_t i = 0; i < repeats; ++i) {
-        trace.Append(base.data(), base.size());
-    }
-    const double accesses = static_cast<double>(trace.size());
-
-    const sim::HierarchyConfig config = sim::HostHierarchyConfig();
-    const sim::ShardedReplayPlan plan =
-        sim::ShardedReplay::PlanFor(config, 4);
-
-    const auto best_of = [&](const std::function<double()> &run) {
-        double best = run();
-        for (int i = 0; i < 2; ++i) {
-            best = std::min(best, run());
-        }
-        return best;
-    };
-
-    sim::PerfCounters serial_pc;
-    const double serial_s = best_of([&] {
-        return TimeRun([&] {
-            sim::MemoryHierarchy mh(config);
-            trace.ReplayInto(mh.Top());
-            serial_pc = mh.Snapshot();
-        });
-    });
-
-    Table table("Set-sharded replay — one tiling stress stream, "
-                "one host config");
-    table.SetHeader({"path", "accesses", "time (ms)", "Maccesses/s",
-                     "speedup", "exact"});
-    const auto row = [&](const std::string &name, double seconds,
-                         bool exact) {
-        table.AddRow({
-            name,
-            Table::Num(accesses / 1e6, 2) + "M",
-            Table::Num(seconds * 1e3, 1),
-            Table::Num(accesses / seconds / 1e6, 1),
-            Table::Num(serial_s / seconds, 2) + "x",
-            exact ? "bit-identical" : "MISMATCH",
-        });
-    };
-    row("serial replay (reference)", serial_s, true);
-
-    const std::string prefix = "sim_throughput.shard";
-    out.Metric(prefix + ".entries", accesses);
-    out.Metric(prefix + ".shards",
-               static_cast<double>(plan.supported ? plan.shards : 1));
-    // Wall-clock scaling is bounded by physical cores; record them so
-    // speedup_Nt is interpretable across machines (a 1-core CI box
-    // can only show ~1x regardless of thread count).
-    out.Metric(prefix + ".cores",
-               static_cast<double>(std::thread::hardware_concurrency()));
-    out.Metric(prefix + ".serial_ms", serial_s * 1e3);
-
-    bool all_same = true;
-    for (const unsigned threads : {1u, 2u, 4u}) {
-        const sim::ShardedReplay sharded{sim::SweepRunner(threads)};
-        sim::PerfCounters pc;
-        const double s = best_of([&] {
-            return TimeRun([&] { pc = sharded.Replay(trace, config); });
-        });
-        const bool same = SameCounters(serial_pc, pc);
-        all_same = all_same && same;
-        row("sharded replay, " + std::to_string(threads) +
-                (threads == 1 ? " thread (serial fallback)" : " threads"),
-            s, same);
-        const std::string t = std::to_string(threads) + "t";
-        out.Metric(prefix + ".sharded_" + t + "_ms", s * 1e3);
-        out.Metric(prefix + ".speedup_" + t, serial_s / s);
-    }
-    out.Metric(prefix + ".bit_identical", all_same ? 1.0 : 0.0);
-    out.Emit(table);
-
-    std::printf("sharded counters %s the serial replay "
-                "(plan: %u shards x %u-line blocks, %u hardware "
-                "cores)\n\n",
-                all_same ? "match" : "DO NOT match",
-                plan.supported ? plan.shards : 1, plan.block_lines,
-                std::thread::hardware_concurrency());
-}
-
-/**
  * Compact codec study: encoded footprint and replay equivalence for
- * the two recorded kernel streams, plus the composition row — compact
- * decode feeding the sharded engine — that the pim_run
- * --compact-trace --threads path exercises.
+ * the two recorded kernel streams.
  */
 void
 PrintCodecStudy(bench::BenchOutput &out)
@@ -1033,7 +923,7 @@ PrintCodecStudy(bench::BenchOutput &out)
                 [&] { compact = sim::CompactTrace::Encode(s.trace); });
         });
 
-        sim::PerfCounters raw_pc, compact_pc, sharded_pc;
+        sim::PerfCounters raw_pc, compact_pc;
         const double raw_s = best_of([&] {
             return TimeRun([&] {
                 sim::MemoryHierarchy mh(config);
@@ -1048,12 +938,7 @@ PrintCodecStudy(bench::BenchOutput &out)
                 compact_pc = mh.Snapshot();
             });
         });
-        // The composition path: decode block-by-block while sharding.
-        const sim::ShardedReplay sharded{sim::SweepRunner(4)};
-        sharded_pc = sharded.Replay(compact, config);
-
         const bool same = SameCounters(raw_pc, compact_pc) &&
-                          SameCounters(raw_pc, sharded_pc) &&
                           compact.TotalBytes() == s.trace.TotalBytes();
         all_same = all_same && same;
 
@@ -1085,8 +970,7 @@ PrintCodecStudy(bench::BenchOutput &out)
                all_same ? 1.0 : 0.0);
     out.Emit(table);
 
-    std::printf("compact replay (serial and sharded x4) %s the raw "
-                "replay counters\n\n",
+    std::printf("compact replay %s the raw replay counters\n\n",
                 all_same ? "matches" : "DOES NOT match");
 }
 
@@ -1096,7 +980,7 @@ PrintCodecStudy(bench::BenchOutput &out)
  * with the compiled vector path (AVX2/NEON) — so the probe speedup is
  * isolated from every other engine improvement.  Also measured: the
  * codec's batch-decode rate per path, and the composed fast path
- * (vector probe + set-sharded pinned replay) against the serial
+ * (batched replay with the vector probe) against the per-entry
  * scalar-probe replay.  Counters must be bit-identical throughout; CI
  * fails the job if `sim_throughput.simd.bit_identical` is not 1.
  */
@@ -1239,12 +1123,12 @@ PrintSimdStudy(bench::BenchOutput &out)
     out.Metric(prefix + ".decode.speedup", dec_scalar_s / dec_vector_s);
 
     // Composed fast path on one (trace, config): batched replay with
-    // the vector probe, set-sharded across pinned workers, against the
-    // per-entry scalar replay path (`ReplayIntoScalar`, every table's
-    // "scalar" row — the pre-batching engine) and against the serial
-    // batched replay with the probe forced scalar.  The first ratio is
-    // the single-replay headline; the second isolates what the vector
-    // probe + sharding added on top of batching.  The stress stream is
+    // the vector probe, against the per-entry scalar replay path
+    // (`ReplayIntoScalar`, every table's "scalar" row — the
+    // pre-batching engine) and against the batched replay with the
+    // probe forced scalar.  The first ratio is the single-replay
+    // headline; the second isolates what the vector probe added on
+    // top of batching.  The stress stream is
     // the LZO stream concatenated — the fine-grained probe pattern the
     // batched+vector core is built for.
     sim::AccessTrace stress;
@@ -1273,16 +1157,12 @@ PrintSimdStudy(bench::BenchOutput &out)
         });
     });
     simd::SetEnabled(true);
-    // Shard up to 4 ways but never past the machine: on a single-core
-    // host ShardedReplay's plan degenerates to the serial (still
-    // vector-probe) replay instead of serializing cold shards.
-    const unsigned fast_threads = std::max(
-        1u, std::min(4u, std::thread::hardware_concurrency()));
-    const sim::ShardedReplay sharded{sim::SweepRunner(fast_threads)};
-    sim::ShardPlacement placement;
     const double fast_s = best_of([&] {
-        return TimeRun(
-            [&] { fast_pc = sharded.Replay(stress, config, &placement); });
+        return TimeRun([&] {
+            sim::MemoryHierarchy mh(config);
+            stress.ReplayInto(mh.Top());
+            fast_pc = mh.Snapshot();
+        });
     });
     const bool replay_same = SameCounters(scalar_path_pc, batched_pc) &&
                              SameCounters(scalar_path_pc, fast_pc);
@@ -1302,36 +1182,26 @@ PrintSimdStudy(bench::BenchOutput &out)
         });
     };
     crow("per-entry scalar replay (PIM_SIMD=off)", scalar_path_s);
-    crow("batched, scalar probe", batched_scalar_s);
-    crow(placement.sharded
-             ? "batched, vector probe, sharded x" +
-                   std::to_string(placement.shards) + " pinned"
-             : "batched, vector probe (serial: 1 core)",
+    crow("batched, scalar probe (PIM_SIMD=off)", batched_scalar_s);
+    crow(std::string("batched, ") + simd::IsaName(simd::ActiveIsa()) +
+             " probe",
          fast_s);
     out.Emit(composed);
 
     out.Metric(prefix + ".replay.scalar_path_ms", scalar_path_s * 1e3);
     out.Metric(prefix + ".replay.batched_scalar_ms",
                batched_scalar_s * 1e3);
-    out.Metric(prefix + ".replay.sharded_vector_ms", fast_s * 1e3);
+    out.Metric(prefix + ".replay.batched_vector_ms", fast_s * 1e3);
     out.Metric(prefix + ".replay_speedup", scalar_path_s / fast_s);
     out.Metric(prefix + ".replay_speedup_vs_batched",
                batched_scalar_s / fast_s);
-    out.Metric(prefix + ".pinning_enabled",
-               placement.pinning_enabled ? 1.0 : 0.0);
     out.Metric(prefix + ".bit_identical", all_same ? 1.0 : 0.0);
 
-    std::string cpus;
-    for (const int cpu : placement.shard_cpu) {
-        cpus += (cpus.empty() ? "" : ",") + std::to_string(cpu);
-    }
     std::printf(
         "decode: %.2f -> %.2f GB/s; composed replay %.2fx vs the "
-        "scalar path (%u shards%s on cpus [%s]); counters %s\n\n",
+        "scalar path; counters %s\n\n",
         raw_bytes / dec_scalar_s / 1e9, raw_bytes / dec_vector_s / 1e9,
-        scalar_path_s / fast_s, placement.shards,
-        placement.pinning_enabled ? ", pinned" : ", unpinned",
-        cpus.c_str(), all_same ? "bit-identical" : "MISMATCH");
+        scalar_path_s / fast_s, all_same ? "bit-identical" : "MISMATCH");
 
     simd::SetEnabled(prev_enabled);
 }
@@ -1482,7 +1352,6 @@ PrintThroughput(bench::BenchOutput &out)
                 [&] { PrintProfilerShardStudy(out); });
 
     // Named under "sweep." so CI's existing --filter=sweep runs them.
-    out.Section("sweep.shard", [&] { PrintShardStudy(out); });
     out.Section("sweep.codec", [&] { PrintCodecStudy(out); });
     out.Section("sweep.simd", [&] { PrintSimdStudy(out); });
     out.Section("sweep.mmap", [&] { PrintMmapStudy(out); });

@@ -231,7 +231,7 @@ class KernelSession
     /**
      * Instantiate and execute once, natively, on CPU-Only, recording
      * the access stream — the single recording pass the sweep engines
-     * (SweepRunner::ReplayTraceFanout / ProfileLlcSweep) fan out.
+     * (SweepRunner::ReplayTrace / ProfileStudy) replay.
      */
     RecordedKernel Record(const KernelSpec &spec);
 

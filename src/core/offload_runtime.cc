@@ -119,7 +119,8 @@ OffloadRuntime::RunAllReplayed(
     const ExecutionTarget targets[] = {ExecutionTarget::kPimCore,
                                        ExecutionTarget::kPimAccel};
     const sim::SweepRunner runner;
-    const auto counters = runner.ReplayTrace(trace, configs);
+    const auto counters =
+        runner.ReplayTrace(sim::AccessTraceSource(trace), configs);
     PIM_TRACE_INSTANT("offload", "PIM_END");
 
     const CoherenceCost cost = EstimateOffloadCoherence(

@@ -649,15 +649,19 @@ PimServer::ExecuteLlcJob(Job &job)
         }
     }
 
-    // --- Replay only the gaps, one profiling pass for all of them. -
+    // --- Replay only the gaps: a one-L1 study, one profiling pass per
+    // set count among them. ------------------------------------------
     if (!missing.empty()) {
         const sim::SweepRunner runner(SweepThreadBudget());
-        const std::vector<sim::PerfCounters> results =
-            runner.ProfileLlcSweep(stream, base, missing);
+        sim::StudySpec spec;
+        spec.l1_points = {base.l1};
+        spec.llc_points = missing;
+        spec.dram = base.dram;
+        const sim::StudyResult study = runner.ProfileStudy(stream, spec);
         ++replays_executed_;
         for (std::size_t m = 0; m < missing.size(); ++m) {
             std::string serialized =
-                telemetry::ToJson(results[m]).Dump();
+                telemetry::ToJson(study.host[0][m].counters).Dump();
             memo_.Store(MemoKey(digest, canonical[missing_index[m]]),
                         serialized);
             counters_json[missing_index[m]] = std::move(serialized);

@@ -139,8 +139,8 @@ class NullSink final : public MemorySink
  * all consumers while it is still cache-resident, instead of each
  * consumer taking its own cold pass over the stream.  Used standalone
  * (e.g. feeding a bank model and a vault analyzer from one pass) and
- * by SweepRunner::ReplayTraceFanout, where a shared L1's miss batches
- * fan out to every design point's lower levels.
+ * by SweepRunner::ProfileStudy, where one L1's miss batches fan out to
+ * every profiling pass of its design grid.
  */
 class FanoutSink final : public MemorySink
 {

@@ -246,7 +246,8 @@ class Cache final : public MemorySink
     CacheConfig config_;
     MemorySink *below_;
     // Precomputed set-index geometry (shifts and masks instead of
-    // / and % on every probe); also consumed by ShardedReplay.
+    // / and % on every probe); also consumed by
+    // ShardedReplay::PlanForPass.
     CacheGeometry geom_;
 
     // SoA line metadata, indexed by slot = set * associativity + way.

@@ -3,17 +3,12 @@
 #include <algorithm>
 #include <atomic>
 #include <bit>
-#include <cstdlib>
-#include <exception>
 #include <functional>
 #include <limits>
 #include <memory>
-#include <thread>
+#include <string>
 #include <vector>
 
-#include "common/env.h"
-#include "common/logging.h"
-#include "sim/affinity.h"
 #include "telemetry/span_tracer.h"
 
 namespace pim::sim {
@@ -65,56 +60,17 @@ PartitionEntries(const TraceEntry *entries, std::size_t count,
     }
 }
 
-/** The trivially-identical path every unsupported case lands on. */
-PerfCounters
-SerialReplay(const TraceSource &trace, const HierarchyConfig &config,
-             ShardPlacement *placement)
-{
-    if (placement != nullptr) {
-        *placement = ShardPlacement{};
-        placement->pinning_enabled = affinity::PinningEnabled();
-        placement->shard_cpu.assign(1, affinity::CurrentCpu());
-    }
-    MemoryHierarchy mh(config);
-    trace.ReplayInto(mh.Top());
-    return mh.Snapshot();
-}
-
-/** PIM_SHARD_WINDOW: window size override, in blocks (testing knob). */
-std::size_t
-WindowOverride()
-{
-    const char *value = std::getenv("PIM_SHARD_WINDOW");
-    if (value == nullptr || *value == '\0') {
-        return 0;
-    }
-    char *end = nullptr;
-    const unsigned long v = std::strtoul(value, &end, 10);
-    if (end == value || *end != '\0' || v == 0) {
-        PIM_WARN("ignoring invalid PIM_SHARD_WINDOW='%s' (expected a "
-                 "positive block count); keeping the default window",
-                 value);
-        return 0;
-    }
-    return static_cast<std::size_t>(v);
-}
-
 /**
- * The shared windowed partition pipeline behind Replay and
- * ProfilePass.  For each window of blocks it fills per-(chunk, shard)
- * entry buckets (laid out bucket[c * shards + s], chunks in trace
- * order) and invokes @p replay_window(buckets, chunks) to let the
- * caller's shard workers consume them.  The first window is
- * partitioned in parallel on the runner; on multi-window runs with
- * decode-ahead enabled (PIM_DECODE_AHEAD, default on), a single
- * producer thread decodes and partitions window w+1 into a second
- * bucket set while replay_window consumes window w, so out-of-core
- * replay is no longer bound by inline block decode on the replay
- * path.  Exceptions from the producer (e.g. a lazy-verify digest
- * mismatch on a mapped source) are captured and rethrown on the
- * calling thread after the overlapped replay finishes — never a
- * worker-thread crash.  Returns false if any access overflowed
- * TraceEntry::kMaxAddr (the caller reruns serially from scratch).
+ * The windowed partition pipeline behind ProfilePass.  For each window
+ * of blocks it fills per-(chunk, shard) entry buckets (laid out
+ * bucket[c * shards + s], chunks in trace order) in parallel on the
+ * runner, then invokes @p replay_window(buckets, chunks) to let the
+ * caller's shard workers consume them.  A resident source is one
+ * window; a non-resident one streams in windows of 64 blocks per
+ * worker, so only the current window's buckets are ever decoded.
+ * Bucket capacity survives window to window (clear, not free).
+ * Returns false if any access overflowed TraceEntry::kMaxAddr (the
+ * caller reruns serially from scratch).
  */
 bool
 RunWindowedShardPipeline(
@@ -126,41 +82,28 @@ RunWindowedShardPipeline(
     const std::size_t threads =
         std::max<std::size_t>(1, runner.thread_count());
     const std::size_t block_count = trace.BlockCount();
-    if (block_count == 0) {
-        return true;
-    }
-    std::size_t window_blocks =
-        trace.resident() ? block_count
-                         : std::max<std::size_t>(64 * threads, 1);
-    if (const std::size_t forced = WindowOverride()) {
-        window_blocks = forced;
-    }
-    const bool decode_ahead = window_blocks < block_count &&
-                              EnvSwitch("PIM_DECODE_AHEAD", true);
-
-    // Double-buffered bucket sets: stores[cur] feeds the shards while
-    // the producer fills stores[cur ^ 1] from the next window.
-    // Bucket capacity survives window to window (clear, not free).
-    const std::size_t max_chunks =
-        std::max<std::size_t>(1, std::min(threads, window_blocks));
-    std::vector<std::vector<TraceEntry>> stores[2];
-    stores[0].resize(max_chunks * shards);
-    if (decode_ahead) {
-        stores[1].resize(max_chunks * shards);
-    }
+    const std::size_t window_blocks =
+        trace.resident() ? block_count : 64 * threads;
+    std::vector<std::vector<TraceEntry>> buckets(
+        std::min(threads, std::max<std::size_t>(1, window_blocks)) *
+        shards);
     std::atomic<bool> overflow{false};
 
-    auto partition_chunk =
-        [&](std::vector<std::vector<TraceEntry>> &store,
-            std::size_t wbegin, std::size_t wend,
-            std::size_t per_chunk, std::size_t c) {
-            PIM_TRACE_SPAN("sweep", "shard_partition[" +
-                                        std::to_string(c) + "]");
+    for (std::size_t wbegin = 0; wbegin < block_count;
+         wbegin += window_blocks) {
+        const std::size_t wend =
+            std::min(block_count, wbegin + window_blocks);
+        const std::size_t chunks = std::min(threads, wend - wbegin);
+        const std::size_t per_chunk = (wend - wbegin + chunks - 1) / chunks;
+        runner.ForEach(chunks, [&](std::size_t c) {
+            PIM_TRACE_SPAN("sweep",
+                           "shard_partition[" + std::to_string(c) + "]");
             const std::size_t begin =
                 std::min(wend, wbegin + c * per_chunk);
             const std::size_t end = std::min(wend, begin + per_chunk);
-            std::vector<TraceEntry> *out = &store[c * shards];
+            std::vector<TraceEntry> *out = &buckets[c * shards];
             for (unsigned s = 0; s < shards; ++s) {
+                out[s].clear();
                 if (out[s].capacity() == 0) {
                     out[s].reserve((end - begin) *
                                        TraceSource::kBlockEntries /
@@ -177,160 +120,16 @@ RunWindowedShardPipeline(
                     return;
                 }
             }
-        };
-
-    auto partition_window =
-        [&](std::vector<std::vector<TraceEntry>> &store,
-            std::size_t wbegin, std::size_t wend, std::size_t chunks,
-            bool parallel) {
-            const std::size_t per_chunk =
-                (wend - wbegin + chunks - 1) / chunks;
-            for (std::size_t i = 0; i < chunks * shards; ++i) {
-                store[i].clear();
-            }
-            if (parallel) {
-                runner.ForEach(chunks, [&](std::size_t c) {
-                    partition_chunk(store, wbegin, wend, per_chunk, c);
-                });
-            } else {
-                for (std::size_t c = 0; c < chunks; ++c) {
-                    partition_chunk(store, wbegin, wend, per_chunk, c);
-                    if (overflow.load(std::memory_order_relaxed)) {
-                        return;
-                    }
-                }
-            }
-        };
-
-    std::size_t wend = std::min(block_count, window_blocks);
-    std::size_t chunks =
-        std::max<std::size_t>(1, std::min(threads, wend));
-    int cur = 0;
-    // The first window has nothing to overlap with: partition it in
-    // parallel on the runner (a resident source's only window lands
-    // here, as cheap as it ever was).
-    partition_window(stores[cur], 0, wend, chunks, /*parallel=*/true);
-
-    for (;;) {
+        });
         if (overflow.load(std::memory_order_relaxed)) {
             return false;
         }
-        const std::size_t nbegin = wend;
-        const std::size_t nend =
-            std::min(block_count, nbegin + window_blocks);
-        const std::size_t nchunks =
-            nbegin < nend ? std::max<std::size_t>(
-                                1, std::min(threads, nend - nbegin))
-                          : 0;
-
-        std::thread producer;
-        std::exception_ptr producer_error;
-        if (nchunks != 0 && decode_ahead) {
-            auto &next_store = stores[cur ^ 1];
-            producer = std::thread([&, nbegin, nend, nchunks] {
-                PIM_TRACE_SPAN("sweep", "decode_ahead");
-                try {
-                    partition_window(next_store, nbegin, nend, nchunks,
-                                     /*parallel=*/false);
-                } catch (...) {
-                    producer_error = std::current_exception();
-                }
-            });
-        }
-
-        std::exception_ptr replay_error;
-        try {
-            replay_window(stores[cur].data(), chunks);
-        } catch (...) {
-            replay_error = std::current_exception();
-        }
-        if (producer.joinable()) {
-            producer.join();
-        }
-        if (replay_error) {
-            std::rethrow_exception(replay_error);
-        }
-        if (producer_error) {
-            std::rethrow_exception(producer_error);
-        }
-        if (nchunks == 0) {
-            return !overflow.load(std::memory_order_relaxed);
-        }
-        if (decode_ahead) {
-            cur ^= 1; // the producer already filled the other set
-        } else {
-            partition_window(stores[cur], nbegin, nend, nchunks,
-                             /*parallel=*/true);
-        }
-        wend = nend;
-        chunks = nchunks;
+        replay_window(buckets.data(), chunks);
     }
+    return true;
 }
 
 } // namespace
-
-ShardedReplayPlan
-ShardedReplay::PlanFor(const HierarchyConfig &config,
-                       unsigned shard_limit)
-{
-    ShardedReplayPlan plan;
-    const CacheGeometry l1(config.l1);
-    if (!l1.pow2_sets) {
-        plan.why = "L1 set count is not a power of two";
-        return plan;
-    }
-    // Periods, in units of L1 lines: striding an address by the period
-    // returns to the same set at that level.  A valid shard key's
-    // stripe pattern must repeat with (i.e. divide) both periods; for
-    // powers of two that means S << B <= min of them.
-    auto log2_of = [](std::size_t v) {
-        return static_cast<std::uint32_t>(std::countr_zero(v));
-    };
-    std::uint32_t log2_period = log2_of(l1.num_sets);
-    std::uint32_t ratio_shift = 0; // log2(llc_line / l1_line)
-    if (config.llc.has_value()) {
-        const CacheGeometry llc(*config.llc);
-        if (!llc.pow2_sets) {
-            plan.why = "LLC set count is not a power of two";
-            return plan;
-        }
-        if (llc.line_shift < l1.line_shift) {
-            plan.why = "LLC line smaller than L1 line";
-            return plan;
-        }
-        // One L1-line miss must land in exactly one shard's LLC set,
-        // so a stripe block must cover whole LLC lines: B >= ratio.
-        ratio_shift = llc.line_shift - l1.line_shift;
-        log2_period = std::min(log2_period,
-                               log2_of(llc.num_sets) + ratio_shift);
-    }
-    if (log2_period <= ratio_shift) {
-        plan.why = "hierarchy has too few sets to stripe";
-        return plan;
-    }
-    std::uint32_t log2_shards =
-        shard_limit == 0
-            ? 0
-            : static_cast<std::uint32_t>(std::bit_width(shard_limit)) -
-                  1;
-    log2_shards = std::min(log2_shards, log2_period - ratio_shift);
-    if (log2_shards < 1) {
-        plan.why = "fewer than two shards possible";
-        return plan;
-    }
-    // Block-cyclic striping: 2^B contiguous lines per stripe (default
-    // 16 => 1 KiB stripes at 64 B lines) keeps typical multi-line
-    // accesses inside one shard, subject to B >= ratio and
-    // S << B dividing the period.
-    const std::uint32_t log2_block = std::max(
-        ratio_shift, std::min(4u, log2_period - log2_shards));
-    plan.supported = true;
-    plan.shards = 1u << log2_shards;
-    plan.block_lines = 1u << log2_block;
-    plan.block_shift = l1.line_shift + log2_block;
-    plan.why = "";
-    return plan;
-}
 
 ShardedReplayPlan
 ShardedReplay::PlanForPass(
@@ -400,82 +199,17 @@ ShardedReplay::PlanForPass(
         plan.why = "fewer than two shards possible";
         return plan;
     }
-    // Block-cyclic striping as in PlanFor: prefer 16 smallest-line
-    // stripes, clamped into [max_line, min_period - S] so every
-    // level's lines stay whole and the stripe cycle divides every
-    // level's set period.
+    // Block-cyclic striping: prefer stripes of 16 smallest-level
+    // lines, clamped into [max_line, min_period - S] so every level's
+    // lines stay whole and the stripe cycle divides every level's set
+    // period.
     const std::uint32_t block_shift = std::max(
         max_line, std::min(min_line + 4, min_period - log2_shards));
     plan.supported = true;
     plan.shards = 1u << log2_shards;
-    plan.block_lines = 1u << (block_shift - min_line);
     plan.block_shift = block_shift;
     plan.why = "";
     return plan;
-}
-
-PerfCounters
-ShardedReplay::Replay(const TraceSource &trace,
-                      const HierarchyConfig &config,
-                      ShardPlacement *placement) const
-{
-    const ShardedReplayPlan plan =
-        PlanFor(config, runner_.thread_count());
-    if (!plan.supported || trace.empty()) {
-        return SerialReplay(trace, config, placement);
-    }
-    PIM_TRACE_SPAN("sweep", "ShardedReplay");
-    const unsigned shards = plan.shards;
-
-    // Per-shard hierarchies persist across windows (created lazily by
-    // the pinned worker that replays the shard, so first-touch places
-    // each one's tag planes on that worker's NUMA node); the counters
-    // at the end are exactly those of one uninterrupted replay.
-    std::vector<std::unique_ptr<MemoryHierarchy>> hier(shards);
-    std::vector<int> cpus(shards, -1);
-
-    const bool ok = RunWindowedShardPipeline(
-        runner_, trace, plan.block_shift, shards,
-        [&](const std::vector<TraceEntry> *buckets,
-            std::size_t chunks) {
-            // Phase B: every shard replays its window slice in chunk
-            // order (== trace order restricted to the shard).
-            runner_.ForEachPinned(shards, [&](std::size_t s) {
-                PIM_TRACE_SPAN("sweep", "shard_replay[" +
-                                            std::to_string(s) + "]");
-                if (!hier[s]) {
-                    hier[s] =
-                        std::make_unique<MemoryHierarchy>(config);
-                }
-                MemorySink &top = hier[s]->Top();
-                for (std::size_t c = 0; c < chunks; ++c) {
-                    const auto &bucket = buckets[c * shards + s];
-                    if (!bucket.empty()) {
-                        top.AccessBatch(bucket.data(), bucket.size());
-                    }
-                }
-                cpus[s] = affinity::CurrentCpu();
-            });
-        });
-    if (!ok) {
-        // A split sub-entry was unrepresentable: discard the
-        // partially-replayed shard hierarchies and rerun the whole
-        // trace serially from scratch.
-        return SerialReplay(trace, config, placement);
-    }
-
-    if (placement != nullptr) {
-        placement->sharded = true;
-        placement->pinning_enabled = affinity::PinningEnabled();
-        placement->shards = shards;
-        placement->shard_cpu = std::move(cpus);
-    }
-    // The trace is non-empty, so every shard's hierarchy exists.
-    PerfCounters total = hier[0]->Snapshot();
-    for (unsigned s = 1; s < shards; ++s) {
-        total += hier[s]->Snapshot();
-    }
-    return total;
 }
 
 bool
@@ -495,8 +229,8 @@ ShardedReplay::ProfilePass(const TraceSource &trace,
     const unsigned shards = plan.shards;
 
     // Per-shard private pass state, created lazily by the pinned
-    // worker that replays the shard (first-touch NUMA placement, as in
-    // Replay) and persistent across windows: the profilers for every
+    // worker that replays the shard (first-touch NUMA placement) and
+    // persistent across windows: the profilers for every
     // pass geometry under one fanout, optionally fed by a cold private
     // L1 over the shard's set partition.
     struct ShardState
@@ -548,7 +282,6 @@ ShardedReplay::ProfilePass(const TraceSource &trace,
 
     // Merge: every counter is a sum over disjoint set partitions (the
     // trace is non-empty, so every shard's state exists).
-    out->sharded = true;
     out->shards = shards;
     out->profiles.reserve(passes.size());
     for (std::size_t p = 0; p < passes.size(); ++p) {
@@ -565,22 +298,6 @@ ShardedReplay::ProfilePass(const TraceSource &trace,
         }
     }
     return true;
-}
-
-PerfCounters
-ShardedReplay::Replay(const AccessTrace &trace,
-                      const HierarchyConfig &config,
-                      ShardPlacement *placement) const
-{
-    return Replay(AccessTraceSource(trace), config, placement);
-}
-
-PerfCounters
-ShardedReplay::Replay(const CompactTrace &trace,
-                      const HierarchyConfig &config,
-                      ShardPlacement *placement) const
-{
-    return Replay(CompactTraceSource(trace), config, placement);
 }
 
 } // namespace pim::sim

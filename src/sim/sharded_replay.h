@@ -1,63 +1,55 @@
 /**
  * @file
- * Set-sharded intra-trace parallel replay.
+ * Set-sharded profiling passes: intra-trace parallelism for
+ * SweepRunner::ProfileStudy (sim/sweep.h).
  *
- * The sweep engines (sim/sweep.h) parallelize *across* configurations;
- * a single (trace, config) replay — the `pim_run --kernel X` path and
- * every per-kernel figure run — was still one thread.  ShardedReplay
- * parallelizes *within* one replay, bit-identically:
+ * The study parallelizes *across* L1 jobs; a single-L1 study — the
+ * common `pim_run --sweep=study|llc` and `pim_serve` case — would still
+ * be one thread.  ShardedReplay::ProfilePass parallelizes *within* one
+ * pass, bit-identically:
  *
- * Why sharding by set is exact.  The cache model's counters for a
- * probe depend only on the state of the probed set, and a set's state
- * depends only on the ordered subsequence of probes to that set
- * (per-set LRU; the global tick stamps only ever compare within a
- * set, so any order-preserving relabeling leaves every replacement
- * decision unchanged).  Partition the sets among shards, give each
- * shard a private cold hierarchy, and route each access to the shard
- * owning its set *preserving trace order within the shard*: every set
- * then sees exactly the probe subsequence it saw serially, so each
- * per-set counter evolution is identical and the per-level totals are
- * the disjoint-union sums (PerfCounters::operator+=).  DRAM counters
- * are purely additive, so they merge exactly too.
+ * Why sharding by set is exact.  The cache model's and the profiler's
+ * counters for a probe depend only on the state of the probed set, and
+ * a set's state depends only on the ordered subsequence of probes to
+ * that set (per-set LRU; the global tick stamps only ever compare
+ * within a set, so any order-preserving relabeling leaves every
+ * replacement decision unchanged).  Partition the sets among shards,
+ * give each shard private cold state, and route each access to the
+ * shard owning its set *preserving trace order within the shard*:
+ * every set then sees exactly the probe subsequence it saw serially,
+ * so each per-set counter evolution is identical and the totals are
+ * the disjoint-union sums (StackProfile::Merge, CacheStats::operator+=).
  *
- * The shard key must respect BOTH cache levels: an L1 set's miss
- * stream feeds fixed LLC sets, so a valid key maps every L1 set and
- * every LLC set wholly into one shard.  With power-of-two geometry,
- *   shard(addr) = (addr >> (l1_line_shift + B)) & (S - 1)
- * works whenever S * 2^B divides both periods (the L1 set count, and
- * the LLC set count scaled to L1-line units) and a block covers at
- * least one LLC line (2^B >= llc_line/l1_line).  B > 0 ("block-cyclic"
- * striping) keeps most multi-line accesses inside one shard; accesses
- * that do span a block boundary are split at it — block boundaries
- * are line-aligned, so each cache line still receives exactly the
- * probes, in the order, that Cache::AccessSpan would generate.
+ * The shard key must respect EVERY level: an L1 set's miss stream
+ * feeds fixed profiler sets, so a valid key maps every L1 set and
+ * every pass set wholly into one shard.  With power-of-two geometry,
+ *   shard(addr) = (addr >> B) & (S - 1)
+ * works whenever bits [B, B + log2 S) lie inside every level's
+ * set-index bits (PlanForPass).  Block-cyclic striping (B above the
+ * line shift) keeps most multi-line accesses inside one shard;
+ * accesses that do span a block boundary are split at it — block
+ * boundaries are line-aligned, so each cache line still receives
+ * exactly the probes, in the order, that Cache::AccessSpan would
+ * generate.
  *
- * Replay consumes any TraceSource (sim/trace.h) and runs in two
- * phases on SweepRunner::ForEach per *window* of blocks: (A) parallel
+ * A pass consumes any TraceSource (sim/trace.h) and runs in two phases
+ * on SweepRunner::ForEach per *window* of blocks: (A) parallel
  * partition of the window's block cursors into per-(chunk, shard)
- * entry buckets, and (B) one private persistent MemoryHierarchy per
- * shard replaying its buckets in chunk order through the batched fast
- * path.  Resident sources use a single window (the whole trace);
- * non-resident (mmap-backed) sources use bounded windows so the raw
+ * entry buckets, and (B) one private persistent shard state per shard
+ * replaying its buckets in chunk order through the batched fast path.
+ * Resident sources use a single window (the whole trace); non-resident
+ * (mmap-backed) sources use windows of 64 blocks per worker so the raw
  * form of the trace never materializes — peak memory stays
- * O(window buckets + hierarchies) however large the on-disk corpus
- * is, and the per-shard hierarchies persist across windows so the
- * counters are exactly those of one uninterrupted replay.  On
- * multi-window (out-of-core) runs a decode-ahead producer overlaps the
- * phases: while the shards replay window w, a single producer thread
- * decodes and partitions window w+1 into a second bucket set, so the
- * replay workers never wait on inline block decode (double-buffered;
- * `PIM_DECODE_AHEAD=off` disables the overlap, `PIM_SHARD_WINDOW=N`
- * overrides the window size in blocks).  Phase B
- * workers are pinned to cores (ForEachPinned) and each shard's
- * hierarchy is allocated by the worker that first replays it, so
- * first-touch places its tag planes NUMA-local; ShardPlacement
- * reports where each shard ran.  When the geometry does
- * not admit a valid key (non-pow2 set counts, LLC lines smaller than
- * L1 lines, fewer than two shards possible) — or when a trace entry
- * spans past TraceEntry::kMaxAddr, whose split sub-entries a packed
- * entry cannot represent — the engine falls back to the serial
- * replay, which is trivially bit-identical.
+ * O(window buckets + shard state) however large the on-disk corpus
+ * is, and the shard state persists across windows so the counters are
+ * exactly those of one uninterrupted pass.  Phase B workers are pinned
+ * to cores (ForEachPinned) and each shard's state is allocated by the
+ * worker that first replays it, so first-touch places it NUMA-local.
+ * When the geometry does not admit a valid key (non-pow2 set counts,
+ * prefetcher-model passes, fewer than two shards possible) — or when a
+ * trace entry spans past TraceEntry::kMaxAddr, whose split sub-entries
+ * a packed entry cannot represent — ProfilePass declines and the
+ * caller runs the serial pass, which is trivially bit-identical.
  */
 
 #ifndef PIM_SIM_SHARDED_REPLAY_H
@@ -66,51 +58,29 @@
 #include <cstdint>
 #include <vector>
 
-#include "sim/hierarchy.h"
-#include "sim/perf_counters.h"
+#include "sim/cache.h"
 #include "sim/stack_profiler.h"
 #include "sim/sweep.h"
 #include "sim/trace.h"
-#include "sim/trace_codec.h"
 
 namespace pim::sim {
 
-/** How a ShardedReplay will (or won't) split a given hierarchy. */
+/** How a ShardedReplay pass will (or won't) split its levels. */
 struct ShardedReplayPlan
 {
     bool supported = false;      ///< False => serial fallback.
     unsigned shards = 1;         ///< S, a power of two >= 2 if supported.
-    std::uint32_t block_lines = 1; ///< Contiguous L1 lines per stripe.
     std::uint32_t block_shift = 0; ///< shard = (addr>>shift) & (S-1).
     const char *why = "";        ///< Reason when !supported.
 };
 
 /**
- * Shard→core placement telemetry from one Replay call.  Workers are
- * pinned (SweepRunner::ForEachPinned) and each shard's private
- * hierarchy is allocated by its own worker, so first-touch places the
- * tag planes on the worker's NUMA node; this records where each shard
- * actually ran.  Purely observational — counters never depend on it.
- */
-struct ShardPlacement
-{
-    bool sharded = false;         ///< False => the serial fallback ran.
-    bool pinning_enabled = false; ///< affinity kill-switch at replay.
-    unsigned shards = 1;
-    /** CPU shard s finished its replay on (sched_getcpu; -1 unknown). */
-    std::vector<int> shard_cpu;
-};
-
-/**
  * Result of one set-sharded profiling pass (ShardedReplay::ProfilePass):
  * the merged profiles of every requested pass geometry, plus the merged
- * counters of the nested L1 when the pass ran one.  `sharded` is false
- * when the engine declined (unsupported geometry or address overflow)
- * and the caller must run the serial pass instead.
+ * counters of the nested L1 when the pass ran one.
  */
 struct ShardedPassResult
 {
-    bool sharded = false;
     unsigned shards = 1;
     /** Merged L1 counters; default-initialized when no L1 was nested. */
     CacheStats l1;
@@ -118,7 +88,7 @@ struct ShardedPassResult
     std::vector<StackProfile> profiles;
 };
 
-/** Intra-trace parallel replay of one trace through one hierarchy. */
+/** Intra-trace parallel profiling pass over one trace. */
 class ShardedReplay
 {
   public:
@@ -127,13 +97,6 @@ class ShardedReplay
         : runner_(runner)
     {
     }
-
-    /**
-     * The sharding a replay of @p config would use with at most
-     * @p shard_limit shards (normally the runner's thread count).
-     */
-    static ShardedReplayPlan PlanFor(const HierarchyConfig &config,
-                                     unsigned shard_limit);
 
     /**
      * The sharding a profiling pass would use: one block-cyclic key
@@ -164,40 +127,15 @@ class ShardedReplay
      * Counters are bit-identical to the serial pass at any shard or
      * thread count: the shard key keeps every profiler set's (and L1
      * set's) ordered probe subsequence intact, and every merged
-     * counter is a sum over disjoint sets.  Windowed and
-     * decode-overlapped exactly like Replay for non-resident sources.
-     * Returns false — with *out untouched beyond reset — when the
-     * plan is unsupported or an access overflows TraceEntry::kMaxAddr;
-     * the caller then runs the serial pass.
+     * counter is a sum over disjoint sets.  Non-resident sources are
+     * streamed in bounded windows (see the file comment).  Returns
+     * false — with *out untouched beyond reset — when the plan is
+     * unsupported or an access overflows TraceEntry::kMaxAddr; the
+     * caller then runs the serial pass.
      */
     bool ProfilePass(const TraceSource &trace, const CacheConfig *l1,
                      const std::vector<StackProfilerConfig> &passes,
                      ShardedPassResult *out) const;
-
-    /**
-     * Replay @p trace through a cold hierarchy of shape @p config and
-     * return its counter snapshot — bit-identical to
-     * SweepRunner::ReplayTrace's single-config result for any shard or
-     * thread count and any TraceSource implementation.  Sharding works
-     * directly from the source's block cursors (windowed when the
-     * source is not resident), so an on-disk corpus replays without
-     * ever materializing its decoded form.  @p placement, when
-     * non-null, receives the shard→core map of this replay
-     * (telemetry only).
-     */
-    PerfCounters Replay(const TraceSource &trace,
-                        const HierarchyConfig &config,
-                        ShardPlacement *placement = nullptr) const;
-
-    /** Shims: Replay over the in-RAM source views. */
-    PerfCounters Replay(const AccessTrace &trace,
-                        const HierarchyConfig &config,
-                        ShardPlacement *placement = nullptr) const;
-    PerfCounters Replay(const CompactTrace &trace,
-                        const HierarchyConfig &config,
-                        ShardPlacement *placement = nullptr) const;
-
-    const SweepRunner &runner() const { return runner_; }
 
   private:
     SweepRunner runner_;

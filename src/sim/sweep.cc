@@ -159,11 +159,10 @@ SweepRunner::ForEachPinned(
 }
 
 /*
- * Engine bodies consume the trace solely through the TraceSource
+ * Both engines consume the trace solely through the TraceSource
  * contract (sim/trace.h): ReplayInto delivers the identical batched
  * entry stream whichever implementation backs the cursor, so each
- * engine is written once and the in-RAM overloads below are pure
- * adapter shims that cannot drift from the canonical path.
+ * engine is written once for every trace form.
  */
 
 std::vector<PerfCounters>
@@ -178,277 +177,6 @@ SweepRunner::ReplayTrace(const TraceSource &trace,
         results[i] = mh.Snapshot();
     });
     return results;
-}
-
-std::vector<PerfCounters>
-SweepRunner::ReplayTrace(const AccessTrace &trace,
-                         const std::vector<HierarchyConfig> &configs) const
-{
-    return ReplayTrace(AccessTraceSource(trace), configs);
-}
-
-std::vector<PerfCounters>
-SweepRunner::ReplayTrace(const CompactTrace &trace,
-                         const std::vector<HierarchyConfig> &configs) const
-{
-    return ReplayTrace(CompactTraceSource(trace), configs);
-}
-
-namespace {
-
-/** One fan-out shard: configs sharing an L1 shape, replayed together. */
-struct FanoutShard
-{
-    CacheConfig l1; ///< Shared geometry (name from the first member).
-    std::vector<std::size_t> members; ///< Indices into `configs`.
-};
-
-} // namespace
-
-std::vector<PerfCounters>
-SweepRunner::ReplayTraceFanout(
-    const TraceSource &trace,
-    const std::vector<HierarchyConfig> &configs) const
-{
-    std::vector<PerfCounters> results(configs.size());
-    if (configs.empty()) {
-        return results;
-    }
-    PIM_TRACE_SPAN("sweep", "ReplayTraceFanout");
-
-    // Group configs whose L1s are interchangeable (same geometry; the
-    // name is identity, not behavior).  Each group's trace decode and
-    // L1 simulation happen once, however many members share it.
-    std::map<std::tuple<Bytes, std::uint32_t, Bytes>,
-             std::vector<std::size_t>>
-        groups;
-    for (std::size_t i = 0; i < configs.size(); ++i) {
-        const CacheConfig &l1 = configs[i].l1;
-        groups[{l1.size, l1.associativity, l1.line_bytes}].push_back(i);
-    }
-
-    // Shard wide groups so the sweep still spreads across workers: a
-    // shard never exceeds ceil(configs / threads) members, which keeps
-    // every worker busy once there are at least `threads_` configs.
-    const std::size_t shard_cap = std::max<std::size_t>(
-        1, (configs.size() + thread_count() - 1) / thread_count());
-    std::vector<FanoutShard> shards;
-    for (const auto &[key, members] : groups) {
-        for (std::size_t begin = 0; begin < members.size();
-             begin += shard_cap) {
-            const std::size_t end =
-                std::min(begin + shard_cap, members.size());
-            FanoutShard shard;
-            shard.l1 = configs[members[begin]].l1;
-            shard.members.assign(members.begin() + begin,
-                                 members.begin() + end);
-            shards.push_back(std::move(shard));
-        }
-    }
-
-    ForEach(shards.size(), [&](std::size_t s) {
-        const FanoutShard &shard = shards[s];
-        PIM_TRACE_SPAN("sweep",
-                       "fanout[" + std::to_string(s) + "]x" +
-                           std::to_string(shard.members.size()));
-
-        // Each member keeps its own below-L1 stack; the shared L1's
-        // miss batches fan out to all of them while hot.
-        struct BelowStack
-        {
-            std::unique_ptr<DramCounter> dram;
-            std::unique_ptr<Cache> llc; // may be null
-            MemorySink *top = nullptr;
-        };
-        std::vector<BelowStack> below(shard.members.size());
-        FanoutSink fanout;
-        for (std::size_t m = 0; m < shard.members.size(); ++m) {
-            const HierarchyConfig &cfg = configs[shard.members[m]];
-            below[m].dram = std::make_unique<DramCounter>(cfg.dram);
-            below[m].top = below[m].dram.get();
-            if (cfg.llc.has_value()) {
-                below[m].llc = std::make_unique<Cache>(
-                    *cfg.llc, *below[m].dram);
-                below[m].top = below[m].llc.get();
-            }
-            fanout.AddSink(*below[m].top);
-        }
-
-        Cache l1(shard.l1, fanout);
-        trace.ReplayInto(l1);
-
-        for (std::size_t m = 0; m < shard.members.size(); ++m) {
-            PerfCounters &pc = results[shard.members[m]];
-            pc.l1 = l1.stats();
-            pc.has_llc = below[m].llc != nullptr;
-            if (below[m].llc) {
-                pc.llc = below[m].llc->stats();
-            }
-            pc.dram = below[m].dram->stats();
-        }
-    });
-    return results;
-}
-
-std::vector<PerfCounters>
-SweepRunner::ReplayTraceFanout(
-    const AccessTrace &trace,
-    const std::vector<HierarchyConfig> &configs) const
-{
-    return ReplayTraceFanout(AccessTraceSource(trace), configs);
-}
-
-std::vector<PerfCounters>
-SweepRunner::ReplayTraceFanout(
-    const CompactTrace &trace,
-    const std::vector<HierarchyConfig> &configs) const
-{
-    return ReplayTraceFanout(CompactTraceSource(trace), configs);
-}
-
-namespace {
-
-/** LLC design points sharing one profiling pass. */
-struct ProfileGroup
-{
-    Bytes line_bytes = 0;
-    std::size_t num_sets = 0;
-    std::vector<std::size_t> points;      ///< Indices into llc_points.
-    std::vector<std::uint32_t> assocs;    ///< Parallel to points.
-};
-
-} // namespace
-
-std::vector<PerfCounters>
-SweepRunner::ProfileLlcSweep(
-    const TraceSource &trace, const HierarchyConfig &base,
-    const std::vector<CacheConfig> &llc_points) const
-{
-    std::vector<PerfCounters> results(llc_points.size());
-    if (llc_points.empty()) {
-        return results;
-    }
-    PIM_TRACE_SPAN("sweep", "ProfileLlcSweep");
-
-    // Group design points by profiling geometry: one stack-distance
-    // pass per distinct (line size, set count) covers every
-    // associativity — i.e. every capacity — in the group.
-    std::map<std::pair<Bytes, std::size_t>, std::size_t> group_of;
-    std::vector<ProfileGroup> pgroups;
-    for (std::size_t i = 0; i < llc_points.size(); ++i) {
-        const CacheConfig &p = llc_points[i];
-        PIM_ASSERT(p.associativity > 0 && p.line_bytes > 0 &&
-                       p.size % (static_cast<Bytes>(p.associativity) *
-                                 p.line_bytes) ==
-                           0,
-                   "LLC point '%s' size not divisible by assoc*line",
-                   p.name.c_str());
-        const std::size_t num_sets = static_cast<std::size_t>(
-            p.size / (static_cast<Bytes>(p.associativity) *
-                      p.line_bytes));
-        const auto key = std::make_pair(p.line_bytes, num_sets);
-        auto [it, inserted] =
-            group_of.try_emplace(key, pgroups.size());
-        if (inserted) {
-            pgroups.push_back(
-                ProfileGroup{p.line_bytes, num_sets, {}, {}});
-        }
-        pgroups[it->second].points.push_back(i);
-        pgroups[it->second].assocs.push_back(p.associativity);
-    }
-    std::vector<StackProfilerConfig> pass_cfgs;
-    pass_cfgs.reserve(pgroups.size());
-    for (const ProfileGroup &pg : pgroups) {
-        StackProfilerConfig pc;
-        pc.line_bytes = pg.line_bytes;
-        pc.num_sets = pg.num_sets;
-        pc.tracked_assocs = pg.assocs;
-        // Depth bound: nothing below the deepest readout can change
-        // any answer (stack_profiler.h).
-        pc.max_assoc =
-            *std::max_element(pg.assocs.begin(), pg.assocs.end());
-        pass_cfgs.push_back(std::move(pc));
-    }
-
-    // Fast path: one set-sharded nested pass — per-shard private L1s
-    // feeding per-shard profiler fanouts, merged snapshots at the end
-    // (sim/sharded_replay.h).  The miss stream is never materialized,
-    // and the counters are bit-identical to the serial path below.
-    if (ShardPassEnabled()) {
-        const ShardedReplay sharded(*this);
-        ShardedPassResult pass;
-        if (sharded.ProfilePass(trace, &base.l1, pass_cfgs, &pass)) {
-            for (std::size_t g = 0; g < pgroups.size(); ++g) {
-                const ProfileGroup &pg = pgroups[g];
-                const StackProfile &prof = pass.profiles[g];
-                for (std::size_t j = 0; j < pg.points.size(); ++j) {
-                    PerfCounters &out = results[pg.points[j]];
-                    out.l1 = pass.l1;
-                    out.has_llc = true;
-                    out.llc =
-                        prof.StatsForAssociativity(pg.assocs[j]);
-                    out.dram = prof.DramTrafficForAssociativity(
-                        pg.assocs[j]);
-                }
-            }
-            return results;
-        }
-    }
-
-    // Serial path (PIM_SHARD_PASS=off or no valid shard key).
-    // Pass 1 (shared): replay the kernel stream through the common L1
-    // once, capturing the miss stream it emits.  That stream — fills
-    // and victim writebacks, in emission order — is exactly the input
-    // every swept LLC would see, because the L1's behavior does not
-    // depend on what sits below it.
-    AccessTrace miss_stream;
-    CacheStats l1_stats;
-    {
-        PIM_TRACE_SPAN("sweep", "profile_l1_pass");
-        NullSink null;
-        TraceRecorder recorder(miss_stream, null);
-        Cache l1(base.l1, recorder);
-        trace.ReplayInto(l1);
-        l1_stats = l1.stats();
-        miss_stream.ShrinkToFit();
-    }
-
-    // Pass 2 (per group): one profiling pass over the miss stream,
-    // then an O(histogram) analytic readout per design point.
-    ForEach(pgroups.size(), [&](std::size_t g) {
-        const ProfileGroup &pg = pgroups[g];
-        PIM_TRACE_SPAN("sweep",
-                       "profile_pass[" + std::to_string(g) + "]x" +
-                           std::to_string(pg.points.size()));
-        StackDistanceProfiler profiler(pass_cfgs[g]);
-        miss_stream.ReplayInto(profiler);
-
-        for (std::size_t j = 0; j < pg.points.size(); ++j) {
-            PerfCounters &out = results[pg.points[j]];
-            out.l1 = l1_stats;
-            out.has_llc = true;
-            out.llc = profiler.StatsForAssociativity(pg.assocs[j]);
-            out.dram =
-                profiler.DramTrafficForAssociativity(pg.assocs[j]);
-        }
-    });
-    return results;
-}
-
-std::vector<PerfCounters>
-SweepRunner::ProfileLlcSweep(
-    const AccessTrace &trace, const HierarchyConfig &base,
-    const std::vector<CacheConfig> &llc_points) const
-{
-    return ProfileLlcSweep(AccessTraceSource(trace), base, llc_points);
-}
-
-std::vector<PerfCounters>
-SweepRunner::ProfileLlcSweep(
-    const CompactTrace &trace, const HierarchyConfig &base,
-    const std::vector<CacheConfig> &llc_points) const
-{
-    return ProfileLlcSweep(CompactTraceSource(trace), base, llc_points);
 }
 
 namespace {
@@ -753,20 +481,6 @@ SweepRunner::ProfileStudy(const TraceSource &trace,
         });
     });
     return result;
-}
-
-StudyResult
-SweepRunner::ProfileStudy(const AccessTrace &trace,
-                          const StudySpec &spec) const
-{
-    return ProfileStudy(AccessTraceSource(trace), spec);
-}
-
-StudyResult
-SweepRunner::ProfileStudy(const CompactTrace &trace,
-                          const StudySpec &spec) const
-{
-    return ProfileStudy(CompactTraceSource(trace), spec);
 }
 
 } // namespace pim::sim

@@ -3,26 +3,24 @@
  * SweepRunner: the design-space sweep engine.
  *
  * The paper's methodology (and every ablation binary here) evaluates one
- * recorded kernel stream against many memory organizations.  Three
- * replay strategies are offered, fastest applicable first:
+ * recorded kernel stream against many memory organizations.  Two replay
+ * engines answer that question:
  *
- *  - ProfileLlcSweep: for sweeps that vary only the LLC geometry, the
- *    shared L1 is replayed once (its miss stream captured), and a
- *    Mattson stack-distance profile of that miss stream yields every
- *    LLC design point analytically — one pass per distinct
- *    (line size, set count), independent of how many capacities are
- *    swept.  See sim/stack_profiler.h.
- *  - ReplayTraceFanout: configs sharing an L1 shape are sharded across
- *    workers; each shard replays the trace through ONE L1 whose miss
- *    batches fan out (FanoutSink) to every design point's LLC/DRAM
- *    stack while the batch is hot — the trace is decoded once per
- *    shard instead of once per config, and the L1 is simulated once
- *    per shard instead of N times.
+ *  - ProfileStudy: the fast path for host grids and PIM points.  Each
+ *    distinct L1 geometry is simulated once, its miss stream feeding
+ *    one Mattson stack-distance profiling pass per LLC (line size,
+ *    set count, write-allocate) group while hot, and every LLC design
+ *    point is an O(histogram) readout of its group's pass — one pass
+ *    covers every capacity phrased at a fixed set count.  A
+ *    single-level LLC ladder is the one-L1 case.  Passes are
+ *    set-sharded across the worker pool when the geometry admits it
+ *    (sim/sharded_replay.h).  See sim/stack_profiler.h.
  *  - ReplayTrace: the reference path — one full cold replay per
- *    config.  Kept as the equivalence baseline; the fast paths must
- *    produce bit-identical counters (tests/test_sweep.cc).
+ *    config, for any (heterogeneous) hierarchy.  Kept as the
+ *    equivalence baseline; the study must produce bit-identical
+ *    counters (tests/test_sweep.cc).
  *
- * Results of all three are deterministic and independent of the thread
+ * Results of both are deterministic and independent of the thread
  * count: each job writes only its own slots, and a replay's counters
  * depend only on the (immutable, shared) trace and the job's private
  * models.
@@ -40,7 +38,6 @@
 #include "sim/perf_counters.h"
 #include "sim/stack_profiler.h"
 #include "sim/trace.h"
-#include "sim/trace_codec.h"
 
 namespace pim::sim {
 
@@ -183,94 +180,18 @@ class SweepRunner
      * The record-once / replay-many reference primitive: replay
      * @p trace into a fresh cold MemoryHierarchy per config,
      * concurrently, and return each design point's counter snapshot in
-     * input order.  O(trace x configs) — use the fan-out or profiler
-     * paths below for wide sweeps.
+     * input order.  O(trace x configs) — use ProfileStudy for wide
+     * sweeps.
      *
-     * Every engine takes the trace as a TraceSource (sim/trace.h): the
-     * in-RAM raw and compact forms and the mmap-backed on-disk form
-     * all deliver the identical batched entry stream, so counters do
-     * not depend on which implementation backs the cursor.  The
-     * AccessTrace / CompactTrace overloads below are thin shims that
-     * wrap the trace in its source adapter.
+     * Both engines take the trace as a TraceSource (sim/trace.h): the
+     * in-RAM raw and compact forms (AccessTraceSource,
+     * CompactTraceSource) and the mmap-backed on-disk form all deliver
+     * the identical batched entry stream, so counters do not depend on
+     * which implementation backs the cursor.
      */
     std::vector<PerfCounters>
     ReplayTrace(const TraceSource &trace,
                 const std::vector<HierarchyConfig> &configs) const;
-
-    /** Shim: ReplayTrace over an AccessTraceSource view. */
-    std::vector<PerfCounters>
-    ReplayTrace(const AccessTrace &trace,
-                const std::vector<HierarchyConfig> &configs) const;
-
-    /** Shim: ReplayTrace over a CompactTraceSource view. */
-    std::vector<PerfCounters>
-    ReplayTrace(const CompactTrace &trace,
-                const std::vector<HierarchyConfig> &configs) const;
-
-    /**
-     * Fan-out replay: counters bit-identical to ReplayTrace, but
-     * configs with the same L1 geometry share one L1 simulation whose
-     * miss batches feed every member's LLC/DRAM stack while hot
-     * (the L1's behavior does not depend on what sits below it, so
-     * the shared miss stream is exactly what each dedicated replay's
-     * L1 would have emitted).  Groups are sharded across workers so
-     * wide sweeps also parallelize.
-     */
-    std::vector<PerfCounters>
-    ReplayTraceFanout(const TraceSource &trace,
-                      const std::vector<HierarchyConfig> &configs) const;
-
-    /** Shims: ReplayTraceFanout over the in-RAM source views. */
-    std::vector<PerfCounters>
-    ReplayTraceFanout(const AccessTrace &trace,
-                      const std::vector<HierarchyConfig> &configs) const;
-    std::vector<PerfCounters>
-    ReplayTraceFanout(const CompactTrace &trace,
-                      const std::vector<HierarchyConfig> &configs) const;
-
-    /**
-     * One-pass analytic LLC sweep: replay @p trace through
-     * @p base.l1 once, capture the miss stream, and derive each
-     * @p llc_points design point (over @p base.dram) from a
-     * stack-distance profile of that stream — one profiling pass per
-     * distinct (line_bytes, set count) among the points, so a
-     * capacity sweep phrased at a fixed set count is a single pass
-     * plus N histogram lookups.
-     *
-     * All counters — L1, LLC hit/miss, writebacks, and DRAM traffic —
-     * are bit-identical to ReplayTrace on the equivalent
-     * HierarchyConfigs (each point's associativity is tracked
-     * exactly; see stack_profiler.h for where the pure histogram
-     * would be approximate).
-     *
-     * Each pass's stacks are depth-bounded at the largest
-     * associativity among its group's points (StackProfilerConfig::
-     * max_assoc): exact for every point it answers, and the pass's
-     * cost no longer grows with the footprint.
-     *
-     * Each llc_points[i].size must be divisible by
-     * associativity * line_bytes, as for any Cache.
-     *
-     * When the geometries admit a common shard key the whole job is
-     * set-sharded (per-shard L1 + profiler fanouts, merged snapshots;
-     * sim/sharded_replay.h) and the miss stream is never
-     * materialized; PIM_SHARD_PASS=off restores the serial two-pass
-     * path.  Counters are bit-identical either way.
-     */
-    std::vector<PerfCounters>
-    ProfileLlcSweep(const TraceSource &trace,
-                    const HierarchyConfig &base,
-                    const std::vector<CacheConfig> &llc_points) const;
-
-    /** Shims: ProfileLlcSweep over the in-RAM source views. */
-    std::vector<PerfCounters>
-    ProfileLlcSweep(const AccessTrace &trace,
-                    const HierarchyConfig &base,
-                    const std::vector<CacheConfig> &llc_points) const;
-    std::vector<PerfCounters>
-    ProfileLlcSweep(const CompactTrace &trace,
-                    const HierarchyConfig &base,
-                    const std::vector<CacheConfig> &llc_points) const;
 
     /**
      * Multi-axis one-pass study: answer the full
@@ -300,10 +221,16 @@ class SweepRunner
      *
      * So an L x (G passes) x A-point grid costs L + 1 replays and
      * L x G + G_pim profiling passes, independent of A.  Counters are
-     * bit-identical to ReplayTrace/ReplayTraceFanout on the equivalent
-     * hierarchies wherever writebacks_exact (always, except write-back
-     * points beyond 64 tracked associativities per pass — see
+     * bit-identical to ReplayTrace on the equivalent hierarchies
+     * wherever writebacks_exact (always, except write-back points
+     * beyond 64 tracked associativities per pass — see
      * stack_profiler.h).
+     *
+     * A single-level LLC ladder over one base hierarchy is the one-L1
+     * study: l1_points = {base.l1}, llc_points = the ladder, no PIM
+     * points; host[0][i].counters is ladder point i's full
+     * PerfCounters.  Each LLC point's size must be divisible by
+     * associativity * line_bytes, as for any Cache.
      *
      * Each replay job is additionally set-sharded across the worker
      * pool when its geometries admit a common shard key
@@ -315,12 +242,6 @@ class SweepRunner
      * StudyResult::shards reports what ran.
      */
     StudyResult ProfileStudy(const TraceSource &trace,
-                             const StudySpec &spec) const;
-
-    /** Shims: ProfileStudy over the in-RAM source views. */
-    StudyResult ProfileStudy(const AccessTrace &trace,
-                             const StudySpec &spec) const;
-    StudyResult ProfileStudy(const CompactTrace &trace,
                              const StudySpec &spec) const;
 
   private:

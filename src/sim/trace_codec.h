@@ -29,8 +29,7 @@
  *
  * Decoded output is bit-exact: CompactTrace::ReplayInto feeds the same
  * TraceEntry batches to MemorySink::AccessBatch that the raw trace
- * would, so it composes with ReplayTrace / ReplayTraceFanout /
- * ProfileLlcSweep / ShardedReplay unchanged.
+ * would, so it composes with ReplayTrace / ProfileStudy unchanged.
  */
 
 #ifndef PIM_SIM_TRACE_CODEC_H

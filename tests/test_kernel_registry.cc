@@ -266,9 +266,9 @@ SameCounters(const sim::PerfCounters &a, const sim::PerfCounters &b)
 }
 
 // The contract behind `pim_run --sweep=llc`: each kernel is executed
-// (and recorded) exactly once, and the analytic one-pass LLC profile
-// of that recording must be bit-identical to a cold per-configuration
-// replay of the same trace.
+// (and recorded) exactly once, and the one-L1 study of that recording
+// (one profiling pass per LLC set count) must be bit-identical to a
+// cold per-configuration replay of the same trace.
 
 TEST(RegistrySweep, RecordedLlcSweepMatchesPerConfigReplays)
 {
@@ -281,25 +281,30 @@ TEST(RegistrySweep, RecordedLlcSweepMatchesPerConfigReplays)
     const sim::HierarchyConfig base = sim::HostHierarchyConfig();
     ASSERT_TRUE(base.llc.has_value());
 
-    std::vector<sim::CacheConfig> ladder;
+    sim::StudySpec spec;
+    spec.l1_points = {base.l1};
+    spec.dram = base.dram;
     std::vector<sim::HierarchyConfig> configs;
     for (Bytes size = 256_KiB; size <= 2_MiB; size *= 2) {
         sim::CacheConfig point = *base.llc;
         point.size = size;
-        ladder.push_back(point);
+        spec.llc_points.push_back(point);
         sim::HierarchyConfig cfg = base;
         cfg.llc = point;
         configs.push_back(cfg);
     }
 
     const sim::SweepRunner runner;
-    const auto profiled = runner.ProfileLlcSweep(rec.trace, base, ladder);
-    const auto replayed = runner.ReplayTrace(rec.trace, configs);
-    ASSERT_EQ(profiled.size(), ladder.size());
-    ASSERT_EQ(replayed.size(), ladder.size());
-    for (std::size_t i = 0; i < ladder.size(); ++i) {
-        EXPECT_TRUE(SameCounters(profiled[i], replayed[i]))
-            << "LLC point " << ladder[i].size;
+    const sim::AccessTraceSource source(rec.trace);
+    const sim::StudyResult study = runner.ProfileStudy(source, spec);
+    const auto replayed = runner.ReplayTrace(source, configs);
+    ASSERT_EQ(study.host.size(), 1u);
+    ASSERT_EQ(study.host[0].size(), configs.size());
+    ASSERT_EQ(replayed.size(), configs.size());
+    for (std::size_t i = 0; i < configs.size(); ++i) {
+        EXPECT_TRUE(study.host[0][i].writebacks_exact);
+        EXPECT_TRUE(SameCounters(study.host[0][i].counters, replayed[i]))
+            << "LLC point " << spec.llc_points[i].size;
     }
 }
 
