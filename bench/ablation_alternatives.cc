@@ -27,15 +27,6 @@ namespace {
 
 using namespace pim;
 
-void
-BM_AlternativesProbe(benchmark::State &state)
-{
-    for (auto _ : state) {
-        benchmark::DoNotOptimize(browser::AllPageProfiles().size());
-    }
-}
-BENCHMARK(BM_AlternativesProbe);
-
 /**
  * First-order GPU rasterization model: throughput per pixel class,
  * relative to the CPU raster path.  Fills and image blits map well to

@@ -26,32 +26,6 @@ using namespace pim;
 using core::ExecutionContext;
 using core::ExecutionTarget;
 
-core::RunReport
-TileOnHost(int texture_px, Bytes llc_size)
-{
-    Rng rng(9);
-    browser::Bitmap linear(texture_px, texture_px);
-    linear.Randomize(rng);
-    browser::TiledTexture tiled(texture_px, texture_px);
-
-    sim::HierarchyConfig hier = sim::HostHierarchyConfig();
-    hier.llc->size = llc_size;
-    ExecutionContext ctx(ExecutionTarget::kCpuOnly,
-                         core::CpuComputeModel(), hier);
-    browser::TileTexture(linear, tiled, ctx);
-    return ctx.Report("tiling");
-}
-
-void
-BM_TileHostBaseline(benchmark::State &state)
-{
-    for (auto _ : state) {
-        benchmark::DoNotOptimize(
-            TileOnHost(256, 2_MiB).TotalEnergyPj());
-    }
-}
-BENCHMARK(BM_TileHostBaseline)->Unit(benchmark::kMillisecond);
-
 void
 PrintAblations(bench::BenchOutput &out)
 {

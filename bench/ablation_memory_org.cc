@@ -42,20 +42,6 @@ Record(const std::function<void(ExecutionContext &)> &kernel)
     return trace;
 }
 
-void
-BM_BankModelThroughput(benchmark::State &state)
-{
-    sim::DramBankModel model;
-    Address addr = 0;
-    for (auto _ : state) {
-        model.Access(addr, 64, sim::AccessType::kRead);
-        addr += 64;
-        benchmark::DoNotOptimize(addr);
-    }
-    state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_BankModelThroughput);
-
 struct NamedTrace
 {
     const char *name;

@@ -95,21 +95,6 @@ PointReport(const char *name, const ComputeModel &model,
 }
 
 void
-BM_AblationProbe(benchmark::State &state)
-{
-    for (auto _ : state) {
-        const RecordedKernel rec = RecordTiling();
-        sim::MemoryHierarchy mh(sim::PimCoreHierarchyConfig());
-        rec.trace.ReplayInto(mh.Top());
-        benchmark::DoNotOptimize(
-            PointReport("tiling", core::PimCoreComputeModel(),
-                        sim::PimCoreHierarchyConfig(), rec, mh.Snapshot())
-                .TotalTimeNs());
-    }
-}
-BENCHMARK(BM_AblationProbe)->Unit(benchmark::kMillisecond);
-
-void
 PrintAblations(bench::BenchOutput &out)
 {
     const RecordedKernel me = RecordMotionEstimation();

@@ -35,21 +35,6 @@ RecordTilingTrace()
 }
 
 void
-BM_TraceReplay(benchmark::State &state)
-{
-    const sim::AccessTrace trace = RecordTilingTrace();
-    for (auto _ : state) {
-        sim::MemoryHierarchy mh(sim::HostHierarchyConfig());
-        trace.ReplayInto(mh.Top());
-        benchmark::DoNotOptimize(mh.Snapshot().dram.TotalBytes());
-    }
-    state.SetItemsProcessed(
-        static_cast<std::int64_t>(state.iterations()) *
-        static_cast<std::int64_t>(trace.size()));
-}
-BENCHMARK(BM_TraceReplay)->Unit(benchmark::kMillisecond);
-
-void
 PrintTraceStudy(bench::BenchOutput &out)
 {
     out.Section("replay", [&] {

@@ -13,17 +13,6 @@
 
 namespace pim::bench {
 
-using core::ExecutionContext;
-using core::OffloadFootprint;
-
-KernelResult
-RunKernelAllTargets(
-    const std::string &name, const OffloadFootprint &footprint,
-    const std::function<void(ExecutionContext &)> &kernel)
-{
-    return core::RunKernelAllTargets(name, footprint, kernel);
-}
-
 std::vector<KernelResult>
 RunRegisteredKernels(const std::string &group)
 {
@@ -55,6 +44,8 @@ RunVideoKernels()
     return RunRegisteredKernels("video");
 }
 
+namespace {
+
 void
 AddEnergyRow(Table &table, const std::string &kernel,
              const core::RunReport &report, double baseline_pj)
@@ -72,8 +63,6 @@ AddEnergyRow(Table &table, const std::string &kernel,
         Table::Num(e.dram / baseline_pj, 3),
     });
 }
-
-namespace {
 
 Table
 KernelEnergyTable(const std::string &figure,
@@ -120,22 +109,14 @@ Basename(const char *path)
 
 } // namespace
 
-void
-PrintKernelFigure(const std::string &figure,
-                  const std::vector<KernelResult> &results)
-{
-    KernelEnergyTable(figure, results).Print();
-    KernelRuntimeTable(figure, results).Print();
-}
-
 BenchOptions
 ParseBenchArgs(int *argc, char **argv)
 {
     BenchOptions opts;
     int out = 1;
     // A value-shaped token right after a bare flag means the caller
-    // tried the space-separated spelling; catch it here instead of
-    // leaking the stray value to google-benchmark.
+    // tried the space-separated spelling; name that mistake instead of
+    // reporting the stray value as an unrecognized argument.
     const auto stray_value = [&](int i) {
         if (i + 1 >= *argc) {
             return false;
@@ -354,6 +335,11 @@ BenchMain(int argc, char **argv,
         std::fprintf(stderr, "bench: %s\n", opts.error.c_str());
         return 1;
     }
+    if (argc > 1) {
+        std::fprintf(stderr, "bench: unrecognized argument '%s'\n",
+                     argv[1]);
+        return 1;
+    }
     if (!opts.trace_path.empty()) {
         telemetry::Tracer::Global().SetEnabled(true);
     }
@@ -361,13 +347,6 @@ BenchMain(int argc, char **argv,
         // Must land before any SweepRunner is constructed (including
         // the bench.sweep_threads probe below).
         sim::SweepRunner::SetDefaultThreads(opts.threads);
-    }
-    ::benchmark::Initialize(&argc, argv);
-    if (::benchmark::ReportUnrecognizedArguments(argc, argv)) {
-        return 1;
-    }
-    if (!opts.list) {
-        ::benchmark::RunSpecifiedBenchmarks();
     }
     BenchOutput out(Basename(argv[0]), std::move(opts));
     // Sweep parallelism in effect for this run (the PIM_SWEEP_THREADS

@@ -1,9 +1,9 @@
 /**
  * @file
  * Shared infrastructure for the per-figure bench binaries: a common
- * main() that runs registered google-benchmark timers and then prints
- * the paper-figure tables, plus registry-driven kernel runners shared
- * by Figures 18, 19, 20, the headline summary, and the pim_run driver.
+ * main() that prints the paper-figure tables, plus registry-driven
+ * kernel runners shared by Figures 18, 19, 20, the headline summary,
+ * and the pim_run driver.
  *
  * Every binary built on PIM_BENCH_MAIN gains the telemetry CLI:
  *
@@ -15,13 +15,13 @@
  *   --threads=<n>     sweep worker count (beats PIM_SWEEP_THREADS)
  *
  * without any per-binary flag handling; binaries only describe their
- * output through a BenchOutput (sections, tables, metrics).
+ * output through a BenchOutput (sections, tables, metrics).  Any other
+ * argument is refused, so a figure report depends on nothing but
+ * these flags.
  */
 
 #ifndef PIM_BENCH_BENCH_COMMON_H
 #define PIM_BENCH_BENCH_COMMON_H
-
-#include <benchmark/benchmark.h>
 
 #include <functional>
 #include <string>
@@ -30,7 +30,6 @@
 #include "common/json.h"
 #include "common/table.h"
 #include "core/kernel_registry.h"
-#include "core/offload_runtime.h"
 
 namespace pim::bench {
 
@@ -40,15 +39,6 @@ namespace pim::bench {
  * layer, tests, and telemetry share one savings/speedup math.
  */
 using KernelResult = core::KernelResult;
-
-/**
- * Run @p kernel on all three targets through the offload runtime.
- * Thin forwarder to core::RunKernelAllTargets (kept for bench-local
- * ad-hoc kernels; catalog kernels go through core::KernelSession).
- */
-KernelResult RunKernelAllTargets(
-    const std::string &name, const core::OffloadFootprint &footprint,
-    const std::function<void(core::ExecutionContext &)> &kernel);
 
 /**
  * Run one registered workload group ("browser", "tf", "video") at
@@ -65,18 +55,7 @@ std::vector<KernelResult> RunTfKernels();
 /** The paper's video kernels (Figure 20 inputs, Section 9). */
 std::vector<KernelResult> RunVideoKernels();
 
-/**
- * Print a Figure 18/20-style pair of tables: normalized energy by
- * component and normalized runtime, per kernel and target.
- */
-void PrintKernelFigure(const std::string &figure,
-                       const std::vector<KernelResult> &results);
-
-/** Append one target's normalized-energy row. */
-void AddEnergyRow(Table &table, const std::string &kernel,
-                  const core::RunReport &report, double baseline_pj);
-
-/** Telemetry flags stripped from argv before google-benchmark sees it. */
+/** The telemetry flags every bench binary understands. */
 struct BenchOptions
 {
     std::string json_path;  ///< Empty = no report; "-" = stdout.
@@ -90,15 +69,15 @@ struct BenchOptions
     unsigned threads = 0;
     /** Non-empty when a recognized flag was misspelled (e.g. a bare
      *  `--trace`, or `--json -` instead of `--json=-`); BenchMain
-     *  reports it and exits instead of leaking the argument to
-     *  google-benchmark. */
+     *  reports it and exits. */
     std::string error;
 };
 
 /**
  * Strip the telemetry flags (--json=, --trace=, --filter=,
  * --check-refs, --list, --threads=) out of argv, compacting it in place and
- * updating *argc, so the remainder can go to benchmark::Initialize.
+ * updating *argc, so the caller sees only what is left (pim_run parses
+ * its own flags from the remainder; BenchMain refuses any).
  * Malformed spellings of those flags set BenchOptions::error.
  */
 BenchOptions ParseBenchArgs(int *argc, char **argv);
@@ -160,9 +139,10 @@ class BenchOutput
 };
 
 /**
- * Standard bench main body: strip telemetry flags, run registered
- * google-benchmark timers, call @p print_fn with a BenchOutput, and
- * finalize the report/trace/reference-check outputs.
+ * Standard bench main body: parse the telemetry flags, refuse any
+ * other argument (exit code 1, @p print_fn not called), call
+ * @p print_fn with a BenchOutput, and finalize the
+ * report/trace/reference-check outputs.
  */
 int BenchMain(int argc, char **argv,
               const std::function<void(BenchOutput &)> &print_fn);
@@ -170,8 +150,8 @@ int BenchMain(int argc, char **argv,
 } // namespace pim::bench
 
 /**
- * Standard bench main: run google-benchmark timers, then produce the
- * figure output via @p print_fn (a void(pim::bench::BenchOutput &)).
+ * Standard bench main: produce the figure output via @p print_fn (a
+ * void(pim::bench::BenchOutput &)) under BenchMain's flag handling.
  */
 #define PIM_BENCH_MAIN(print_fn)                                         \
     int main(int argc, char **argv)                                     \

@@ -15,17 +15,6 @@ namespace {
 using namespace pim;
 
 void
-BM_ScrollGoogleDocs(benchmark::State &state)
-{
-    for (auto _ : state) {
-        const auto r = browser::SimulateScroll(
-            browser::GoogleDocsProfile());
-        benchmark::DoNotOptimize(r.TotalEnergy());
-    }
-}
-BENCHMARK(BM_ScrollGoogleDocs)->Unit(benchmark::kMillisecond);
-
-void
 PrintFigure1(bench::BenchOutput &out)
 {
     out.Section("scroll", [&] {

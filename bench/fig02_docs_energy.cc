@@ -15,17 +15,6 @@ namespace {
 using namespace pim;
 
 void
-BM_ScrollDocsOnce(benchmark::State &state)
-{
-    for (auto _ : state) {
-        benchmark::DoNotOptimize(
-            browser::SimulateScroll(browser::GoogleDocsProfile())
-                .TotalEnergy());
-    }
-}
-BENCHMARK(BM_ScrollDocsOnce)->Unit(benchmark::kMillisecond);
-
-void
 AddComponentRow(Table &table, const char *name,
                 const sim::EnergyBreakdown &e, double total)
 {

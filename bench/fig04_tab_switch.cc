@@ -7,34 +7,11 @@
 
 #include "bench_common.h"
 
-#include "common/rng.h"
-#include "workloads/browser/page_data.h"
 #include "workloads/browser/tab_switch.h"
-#include "workloads/browser/zram.h"
 
 namespace {
 
 using namespace pim;
-
-void
-BM_ZramSwapOutPage(benchmark::State &state)
-{
-    Rng rng(4);
-    browser::ZramPool pool;
-    core::ExecutionContext ctx(core::ExecutionTarget::kCpuOnly);
-    pim::SimBuffer<std::uint8_t> page(browser::ZramPool::kPageBytes);
-    browser::FillPageLikeData(page, rng, 0.4);
-    pim::SimBuffer<std::uint8_t> restore(browser::ZramPool::kPageBytes);
-    for (auto _ : state) {
-        const auto out = pool.SwapOut(page, ctx);
-        pool.SwapIn(out.handle, restore, ctx);
-        benchmark::DoNotOptimize(restore.data());
-    }
-    state.SetBytesProcessed(
-        static_cast<std::int64_t>(state.iterations()) *
-        browser::ZramPool::kPageBytes);
-}
-BENCHMARK(BM_ZramSwapOutPage);
 
 void
 PrintFigure4(bench::BenchOutput &out)

@@ -15,18 +15,6 @@ namespace {
 using namespace pim;
 
 void
-BM_InferResidualGru(benchmark::State &state)
-{
-    const auto net = ml::ResidualGru();
-    for (auto _ : state) {
-        benchmark::DoNotOptimize(
-            ml::RunInference(net, ml::EvalScale{0.5, 0.125})
-                .TotalEnergy());
-    }
-}
-BENCHMARK(BM_InferResidualGru)->Unit(benchmark::kMillisecond);
-
-void
 PrintFigure6(bench::BenchOutput &out)
 {
     out.Section("inference", [&] {

@@ -15,18 +15,6 @@ namespace {
 using namespace pim;
 
 void
-BM_InferVgg19Scaled(benchmark::State &state)
-{
-    const auto net = ml::Vgg19();
-    for (auto _ : state) {
-        benchmark::DoNotOptimize(
-            ml::RunInference(net, ml::EvalScale{0.25, 0.125})
-                .TotalTime());
-    }
-}
-BENCHMARK(BM_InferVgg19Scaled)->Unit(benchmark::kMillisecond);
-
-void
 PrintFigure7(bench::BenchOutput &out)
 {
     out.Section("inference", [&] {

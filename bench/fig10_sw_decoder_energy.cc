@@ -13,17 +13,6 @@ namespace {
 using namespace pim;
 
 void
-BM_SwDecodeFrame(benchmark::State &state)
-{
-    for (auto _ : state) {
-        video::CodecPhases phases;
-        bench::RunSwDecoder(192, 128, 2, phases);
-        benchmark::DoNotOptimize(phases.Total().energy.Total());
-    }
-}
-BENCHMARK(BM_SwDecodeFrame)->Unit(benchmark::kMillisecond);
-
-void
 PrintFigure10(bench::BenchOutput &out)
 {
     out.Section("decoder", [&] {

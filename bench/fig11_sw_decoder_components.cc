@@ -13,17 +13,6 @@ namespace {
 using namespace pim;
 
 void
-BM_SwDecodeSmall(benchmark::State &state)
-{
-    for (auto _ : state) {
-        video::CodecPhases phases;
-        bench::RunSwDecoder(128, 64, 2, phases);
-        benchmark::DoNotOptimize(phases.Total().energy.Total());
-    }
-}
-BENCHMARK(BM_SwDecodeSmall)->Unit(benchmark::kMillisecond);
-
-void
 AddRow(Table &table, const char *name, const core::PhaseTotals &phase)
 {
     const auto &e = phase.energy;

@@ -16,16 +16,6 @@ using video::HwDecoderTraffic;
 using video::HwResolution;
 
 void
-BM_HwDecoderTrafficModel(benchmark::State &state)
-{
-    for (auto _ : state) {
-        benchmark::DoNotOptimize(
-            HwDecoderTraffic(HwResolution::k4k, true).Total());
-    }
-}
-BENCHMARK(BM_HwDecoderTrafficModel);
-
-void
 AddRow(Table &table, const char *config,
        const video::HwTrafficBreakdown &t)
 {

@@ -13,17 +13,6 @@ namespace {
 using namespace pim;
 
 void
-BM_SwEncodeFrame(benchmark::State &state)
-{
-    for (auto _ : state) {
-        video::CodecPhases phases;
-        bench::RunSwEncoder(192, 128, 2, phases);
-        benchmark::DoNotOptimize(phases.Total().energy.Total());
-    }
-}
-BENCHMARK(BM_SwEncodeFrame)->Unit(benchmark::kMillisecond);
-
-void
 PrintFigure15(bench::BenchOutput &out)
 {
     out.Section("encoder", [&] {

@@ -16,16 +16,6 @@ using video::HwEncoderTraffic;
 using video::HwResolution;
 
 void
-BM_HwEncoderTrafficModel(benchmark::State &state)
-{
-    for (auto _ : state) {
-        benchmark::DoNotOptimize(
-            HwEncoderTraffic(HwResolution::k4k, true).Total());
-    }
-}
-BENCHMARK(BM_HwEncoderTrafficModel);
-
-void
 AddRow(Table &table, const char *config,
        const video::HwTrafficBreakdown &t)
 {

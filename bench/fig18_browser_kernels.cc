@@ -7,30 +7,9 @@
 
 #include "bench_common.h"
 
-#include "common/rng.h"
-#include "workloads/browser/texture_tiler.h"
-
 namespace {
 
 using namespace pim;
-
-void
-BM_TextureTiling(benchmark::State &state)
-{
-    Rng rng(1);
-    browser::Bitmap linear(512, 512);
-    linear.Randomize(rng);
-    browser::TiledTexture tiled(512, 512);
-    core::ExecutionContext ctx(core::ExecutionTarget::kCpuOnly);
-    for (auto _ : state) {
-        browser::TileTexture(linear, tiled, ctx);
-        benchmark::DoNotOptimize(tiled.storage().data());
-    }
-    state.SetBytesProcessed(
-        static_cast<std::int64_t>(state.iterations()) *
-        static_cast<std::int64_t>(linear.size_bytes()));
-}
-BENCHMARK(BM_TextureTiling)->Unit(benchmark::kMillisecond);
 
 void
 PrintFigure18(bench::BenchOutput &out)

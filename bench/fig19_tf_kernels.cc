@@ -22,21 +22,6 @@ using namespace pim;
 using core::ExecutionContext;
 using core::ExecutionTarget;
 
-void
-BM_PackLhs(benchmark::State &state)
-{
-    Rng rng(2);
-    ml::Matrix<std::uint8_t> lhs(512, 512);
-    lhs.Randomize(rng);
-    ml::PackedMatrix packed(512, 512);
-    ExecutionContext ctx(ExecutionTarget::kCpuOnly);
-    for (auto _ : state) {
-        ml::PackLhs(lhs, packed, ctx);
-        benchmark::DoNotOptimize(packed.storage().data());
-    }
-}
-BENCHMARK(BM_PackLhs)->Unit(benchmark::kMillisecond);
-
 /** One GEMM's worth of work, reported as per-phase times. */
 struct GemmPhaseTimes
 {

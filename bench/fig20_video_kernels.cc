@@ -7,35 +7,9 @@
 
 #include "bench_common.h"
 
-#include "workloads/video/subpel.h"
-#include "workloads/video/video_gen.h"
-
 namespace {
 
 using namespace pim;
-
-void
-BM_SubPixelInterpolation(benchmark::State &state)
-{
-    video::VideoGenConfig cfg;
-    cfg.width = 320;
-    cfg.height = 192;
-    video::VideoGenerator gen(cfg);
-    const video::Frame frame = gen.NextFrame();
-    video::PredBlock block(16, 16);
-    core::ExecutionContext ctx(core::ExecutionTarget::kCpuOnly);
-    for (auto _ : state) {
-        for (int y = 0; y < cfg.height; y += 16) {
-            for (int x = 0; x < cfg.width; x += 16) {
-                video::InterpolateBlock(frame.y, x, y,
-                                        video::MotionVector{5, 3},
-                                        block, ctx);
-            }
-        }
-        benchmark::DoNotOptimize(block.pixels.data());
-    }
-}
-BENCHMARK(BM_SubPixelInterpolation)->Unit(benchmark::kMillisecond);
 
 void
 PrintFigure20(bench::BenchOutput &out)

@@ -19,18 +19,6 @@ using video::HwEncoderEnergy;
 using video::HwPimMode;
 using video::HwResolution;
 
-void
-BM_HwEnergyModel(benchmark::State &state)
-{
-    for (auto _ : state) {
-        benchmark::DoNotOptimize(
-            HwDecoderEnergy(HwResolution::k4k, true,
-                            HwPimMode::kPimAccel)
-                .Total());
-    }
-}
-BENCHMARK(BM_HwEnergyModel);
-
 const char *
 ModeName(HwPimMode mode)
 {

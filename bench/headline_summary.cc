@@ -20,15 +20,6 @@ namespace {
 using namespace pim;
 
 void
-BM_AllKernelsOnce(benchmark::State &state)
-{
-    for (auto _ : state) {
-        benchmark::DoNotOptimize(bench::RunTfKernels().size());
-    }
-}
-BENCHMARK(BM_AllKernelsOnce)->Unit(benchmark::kMillisecond);
-
-void
 PrintHeadline(bench::BenchOutput &out)
 {
     // Gather every evaluated kernel; each family is also recorded as a

@@ -207,36 +207,6 @@ RecordCompressionTrace()
     return trace;
 }
 
-void
-BM_ReplaySeedEngine(benchmark::State &state)
-{
-    const sim::AccessTrace trace = RecordTilingTrace();
-    for (auto _ : state) {
-        SeedHierarchy sh(sim::HostHierarchyConfig());
-        trace.ReplayIntoScalar(sh.l1);
-        benchmark::DoNotOptimize(sh.Snapshot().dram.TotalBytes());
-    }
-    state.SetItemsProcessed(
-        static_cast<std::int64_t>(state.iterations()) *
-        static_cast<std::int64_t>(trace.size()));
-}
-BENCHMARK(BM_ReplaySeedEngine)->Unit(benchmark::kMillisecond);
-
-void
-BM_ReplayBatched(benchmark::State &state)
-{
-    const sim::AccessTrace trace = RecordTilingTrace();
-    for (auto _ : state) {
-        sim::MemoryHierarchy mh(sim::HostHierarchyConfig());
-        trace.ReplayInto(mh.Top());
-        benchmark::DoNotOptimize(mh.Snapshot().dram.TotalBytes());
-    }
-    state.SetItemsProcessed(
-        static_cast<std::int64_t>(state.iterations()) *
-        static_cast<std::int64_t>(trace.size()));
-}
-BENCHMARK(BM_ReplayBatched)->Unit(benchmark::kMillisecond);
-
 /** Wall-clock one replay run; returns seconds. */
 template <typename Fn>
 double
@@ -246,6 +216,20 @@ TimeRun(const Fn &fn)
     fn();
     const auto t1 = std::chrono::steady_clock::now();
     return std::chrono::duration<double>(t1 - t0).count();
+}
+
+/**
+ * Best-of-3 wall-clock of @p run (which returns one run's seconds), to
+ * shave scheduler noise off a single-shot row.
+ */
+double
+BestOf3(const std::function<double()> &run)
+{
+    double best = run();
+    for (int i = 0; i < 2; ++i) {
+        best = std::min(best, run());
+    }
+    return best;
 }
 
 /** Median and spread of repeated wall-clock runs, in seconds. */
@@ -305,31 +289,22 @@ PrintOneStream(bench::BenchOutput &out, const char *section,
 {
     const double accesses = static_cast<double>(trace.size());
 
-    // Best-of-3 wall-clock for each path to shave scheduler noise.
-    const auto best_of = [&](const std::function<double()> &run) {
-        double best = run();
-        for (int i = 0; i < 2; ++i) {
-            best = std::min(best, run());
-        }
-        return best;
-    };
-
     sim::PerfCounters seed_pc, scalar_pc, batched_pc;
-    const double seed_s = best_of([&] {
+    const double seed_s = BestOf3([&] {
         return TimeRun([&] {
             SeedHierarchy sh(sim::HostHierarchyConfig());
             trace.ReplayIntoScalar(sh.l1);
             seed_pc = sh.Snapshot();
         });
     });
-    const double scalar_s = best_of([&] {
+    const double scalar_s = BestOf3([&] {
         return TimeRun([&] {
             sim::MemoryHierarchy mh(sim::HostHierarchyConfig());
             trace.ReplayIntoScalar(mh.Top());
             scalar_pc = mh.Snapshot();
         });
     });
-    const double batched_s = best_of([&] {
+    const double batched_s = BestOf3([&] {
         return TimeRun([&] {
             sim::MemoryHierarchy mh(sim::HostHierarchyConfig());
             trace.ReplayInto(mh.Top());
@@ -342,7 +317,7 @@ PrintOneStream(bench::BenchOutput &out, const char *section,
     const sim::AccessTraceSource source(trace);
     const std::vector<sim::HierarchyConfig> sweep_configs(
         8, sim::HostHierarchyConfig());
-    const double sweep_s = best_of([&] {
+    const double sweep_s = BestOf3([&] {
         return TimeRun(
             [&] { runner.ReplayTrace(source, sweep_configs); });
     });
@@ -434,22 +409,14 @@ PrintSweepStudy(bench::BenchOutput &out)
         configs.push_back(std::move(hier));
     }
 
-    const auto best_of = [&](const std::function<double()> &run) {
-        double best = run();
-        for (int i = 0; i < 2; ++i) {
-            best = std::min(best, run());
-        }
-        return best;
-    };
-
     const sim::SweepRunner runner;
     std::vector<sim::PerfCounters> ref;
     sim::StudyResult profiled;
-    const double per_config_s = best_of([&] {
+    const double per_config_s = BestOf3([&] {
         return TimeRun(
             [&] { ref = runner.ReplayTrace(source, configs); });
     });
-    const double profiler_s = best_of([&] {
+    const double profiler_s = BestOf3([&] {
         return TimeRun(
             [&] { profiled = runner.ProfileStudy(source, spec); });
     });
@@ -890,14 +857,6 @@ PrintProfilerShardStudy(bench::BenchOutput &out)
 void
 PrintCodecStudy(bench::BenchOutput &out)
 {
-    const auto best_of = [&](const std::function<double()> &run) {
-        double best = run();
-        for (int i = 0; i < 2; ++i) {
-            best = std::min(best, run());
-        }
-        return best;
-    };
-
     struct Stream
     {
         const char *name;
@@ -918,20 +877,20 @@ PrintCodecStudy(bench::BenchOutput &out)
     bool all_same = true;
     for (auto &s : streams) {
         sim::CompactTrace compact;
-        const double encode_s = best_of([&] {
+        const double encode_s = BestOf3([&] {
             return TimeRun(
                 [&] { compact = sim::CompactTrace::Encode(s.trace); });
         });
 
         sim::PerfCounters raw_pc, compact_pc;
-        const double raw_s = best_of([&] {
+        const double raw_s = BestOf3([&] {
             return TimeRun([&] {
                 sim::MemoryHierarchy mh(config);
                 s.trace.ReplayInto(mh.Top());
                 raw_pc = mh.Snapshot();
             });
         });
-        const double compact_s = best_of([&] {
+        const double compact_s = BestOf3([&] {
             return TimeRun([&] {
                 sim::MemoryHierarchy mh(config);
                 compact.ReplayInto(mh.Top());
@@ -991,14 +950,6 @@ PrintSimdStudy(bench::BenchOutput &out)
     const bool prev_enabled = simd::Enabled();
     const char *compiled = simd::IsaName(simd::CompiledIsa());
 
-    const auto best_of = [&](const std::function<double()> &run) {
-        double best = run();
-        for (int i = 0; i < 2; ++i) {
-            best = std::min(best, run());
-        }
-        return best;
-    };
-
     const std::string prefix = "sim_throughput.simd";
     out.Metric(prefix + ".compiled_avx2",
                simd::CompiledIsa() == simd::Isa::kAvx2 ? 1.0 : 0.0);
@@ -1050,7 +1001,7 @@ PrintSimdStudy(bench::BenchOutput &out)
         // hierarchy must be built inside the toggled region.
         sim::PerfCounters scalar_pc, vector_pc;
         simd::SetEnabled(false);
-        const double scalar_s = best_of([&] {
+        const double scalar_s = BestOf3([&] {
             return TimeRun([&] {
                 sim::MemoryHierarchy mh(config);
                 s.trace.ReplayInto(mh.Top());
@@ -1058,7 +1009,7 @@ PrintSimdStudy(bench::BenchOutput &out)
             });
         });
         simd::SetEnabled(true);
-        const double vector_s = best_of([&] {
+        const double vector_s = BestOf3([&] {
             return TimeRun([&] {
                 sim::MemoryHierarchy mh(config);
                 s.trace.ReplayInto(mh.Top());
@@ -1096,6 +1047,9 @@ PrintSimdStudy(bench::BenchOutput &out)
     const sim::CompactTrace compact =
         sim::CompactTrace::Encode(streams[0].trace);
     const double raw_bytes = static_cast<double>(compact.RawBytes());
+    // Every timed pass must decode the container's full entry count;
+    // checking it keeps the decode live and folds into decode_same.
+    bool decode_counts_match = true;
     const auto decode_all = [&] {
         alignas(64) sim::TraceEntry buffer[sim::CompactTrace::
                                                kBlockEntries];
@@ -1103,15 +1057,16 @@ PrintSimdStudy(bench::BenchOutput &out)
         for (std::size_t b = 0; b < compact.BlockCount(); ++b) {
             n += compact.DecodeBlock(b, buffer);
         }
-        benchmark::DoNotOptimize(n);
+        decode_counts_match = decode_counts_match && n == compact.size();
     };
     simd::SetEnabled(false);
-    const double dec_scalar_s = best_of([&] { return TimeRun(decode_all); });
+    const double dec_scalar_s = BestOf3([&] { return TimeRun(decode_all); });
     const sim::AccessTrace dec_scalar = compact.Decode();
     simd::SetEnabled(true);
-    const double dec_vector_s = best_of([&] { return TimeRun(decode_all); });
+    const double dec_vector_s = BestOf3([&] { return TimeRun(decode_all); });
     const sim::AccessTrace dec_vector = compact.Decode();
-    bool decode_same = dec_scalar.size() == dec_vector.size();
+    bool decode_same =
+        decode_counts_match && dec_scalar.size() == dec_vector.size();
     for (std::size_t i = 0; decode_same && i < dec_scalar.size(); ++i) {
         decode_same = dec_scalar.data()[i].word == dec_vector.data()[i].word;
     }
@@ -1142,14 +1097,14 @@ PrintSimdStudy(bench::BenchOutput &out)
     const double stress_accesses = static_cast<double>(stress.size());
     sim::PerfCounters scalar_path_pc, batched_pc, fast_pc;
     simd::SetEnabled(false);
-    const double scalar_path_s = best_of([&] {
+    const double scalar_path_s = BestOf3([&] {
         return TimeRun([&] {
             sim::MemoryHierarchy mh(config);
             stress.ReplayIntoScalar(mh.Top());
             scalar_path_pc = mh.Snapshot();
         });
     });
-    const double batched_scalar_s = best_of([&] {
+    const double batched_scalar_s = BestOf3([&] {
         return TimeRun([&] {
             sim::MemoryHierarchy mh(config);
             stress.ReplayInto(mh.Top());
@@ -1157,7 +1112,7 @@ PrintSimdStudy(bench::BenchOutput &out)
         });
     });
     simd::SetEnabled(true);
-    const double fast_s = best_of([&] {
+    const double fast_s = BestOf3([&] {
         return TimeRun([&] {
             sim::MemoryHierarchy mh(config);
             stress.ReplayInto(mh.Top());

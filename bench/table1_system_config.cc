@@ -1,33 +1,17 @@
 /**
  * @file
  * Table 1: the evaluated system configuration, plus the Section 3.3
- * area feasibility table for every piece of PIM logic, and raw
- * substrate microbenchmarks.
+ * area feasibility table for every piece of PIM logic.
  */
 
 #include "bench_common.h"
 
 #include "core/area_model.h"
-#include "sim/hierarchy.h"
 #include "sim/system_config.h"
 
 namespace {
 
 using namespace pim;
-
-void
-BM_CacheHierarchyAccess(benchmark::State &state)
-{
-    sim::MemoryHierarchy mh(sim::HostHierarchyConfig());
-    Address addr = 0x100000;
-    for (auto _ : state) {
-        mh.Top().Access(addr, 64, sim::AccessType::kRead);
-        addr += 64;
-        benchmark::DoNotOptimize(addr);
-    }
-    state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_CacheHierarchyAccess);
 
 void
 PrintTable1(bench::BenchOutput &out)

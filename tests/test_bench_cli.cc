@@ -1,7 +1,9 @@
 /**
  * @file
  * Bench CLI plumbing tests: ParseBenchArgs flag extraction / argv
- * compaction and the degenerate-baseline guards on KernelResult.
+ * compaction (what pim_run parses its own flags from), BenchMain's
+ * refusal of any argument it does not know, and the degenerate-baseline
+ * guards on KernelResult.
  */
 
 #include <string>
@@ -49,7 +51,7 @@ class Argv
 
 TEST(ParseBenchArgs, ExtractsTelemetryFlagsAndCompactsArgv)
 {
-    Argv a({"bin", "--json=report.json", "--benchmark_filter=^$",
+    Argv a({"bin", "--json=report.json", "--kernel=x",
             "--trace=trace.json", "--check-refs", "--filter=kernels",
             "--list"});
     const bench::BenchOptions opts =
@@ -61,11 +63,11 @@ TEST(ParseBenchArgs, ExtractsTelemetryFlagsAndCompactsArgv)
     EXPECT_TRUE(opts.check_refs);
     EXPECT_TRUE(opts.list);
 
-    // Only the binary name and the benchmark flag survive, in order.
+    // Only the binary name and the pim_run-style flag survive, in order.
     const auto rest = a.Remaining();
     ASSERT_EQ(rest.size(), 2u);
     EXPECT_EQ(rest[0], "bin");
-    EXPECT_EQ(rest[1], "--benchmark_filter=^$");
+    EXPECT_EQ(rest[1], "--kernel=x");
 }
 
 TEST(ParseBenchArgs, BareJsonMeansStdout)
@@ -121,8 +123,8 @@ TEST(ParseBenchArgs, BareFilterIsAnError)
 
 TEST(ParseBenchArgs, JsonWithSeparateValueIsAnError)
 {
-    // "--json out.json" silently wrote to stdout and leaked "out.json"
-    // to google-benchmark before; now it is caught.
+    // "--json out.json" must not write to stdout and leave "out.json"
+    // behind as a stray argument; the error names the right spelling.
     Argv a({"bin", "--json", "out.json"});
     const bench::BenchOptions opts =
         bench::ParseBenchArgs(a.argc(), a.argv());
@@ -141,7 +143,7 @@ TEST(ParseBenchArgs, JsonWithSeparateDashIsAnError)
 
 TEST(ParseBenchArgs, ThreadsFlagParsesAndCompacts)
 {
-    Argv a({"bin", "--threads=7", "--benchmark_filter=^$"});
+    Argv a({"bin", "--threads=7", "--kernel=x"});
     const bench::BenchOptions opts =
         bench::ParseBenchArgs(a.argc(), a.argv());
     EXPECT_TRUE(opts.error.empty());
@@ -176,6 +178,35 @@ TEST(ParseBenchArgs, MalformedThreadsValuesAreErrors)
         EXPECT_FALSE(opts.error.empty()) << bad;
         EXPECT_EQ(opts.threads, 0u) << bad;
     }
+}
+
+TEST(BenchMain, RefusesUnrecognizedArguments)
+{
+    // Neither a retired timing-library flag nor a typo of a telemetry
+    // flag may be ignored: the figure would silently run without it.
+    for (const char *arg : {"--benchmark_filter=^$", "--jsno=x"}) {
+        Argv a({"bin", arg});
+        bool printed = false;
+        const int rc = bench::BenchMain(
+            *a.argc(), a.argv(),
+            [&](bench::BenchOutput &) { printed = true; });
+        EXPECT_EQ(rc, 1) << arg;
+        EXPECT_FALSE(printed) << arg;
+    }
+}
+
+TEST(BenchMain, KnownFlagsReachThePrintFunction)
+{
+    Argv a({"bin", "--list", "--filter=none"});
+    bool printed = false;
+    const int rc = bench::BenchMain(
+        *a.argc(), a.argv(), [&](bench::BenchOutput &out) {
+            printed = true;
+            EXPECT_TRUE(out.options().list);
+            EXPECT_EQ(out.options().filter, "none");
+        });
+    EXPECT_EQ(rc, 0);
+    EXPECT_TRUE(printed);
 }
 
 TEST(KernelResult, DegenerateBaselinesYieldNeutralValues)
