@@ -228,11 +228,10 @@ ShardedReplay::ProfilePass(const TraceSource &trace,
     PIM_TRACE_SPAN("sweep", "ShardedProfilePass");
     const unsigned shards = plan.shards;
 
-    // Per-shard private pass state, created lazily by the pinned
-    // worker that replays the shard (first-touch NUMA placement) and
-    // persistent across windows: the profilers for every
-    // pass geometry under one fanout, optionally fed by a cold private
-    // L1 over the shard's set partition.
+    // Per-shard private pass state, created lazily by the worker that
+    // first replays the shard and persistent across windows: the
+    // profilers for every pass geometry under one fanout, optionally
+    // fed by a cold private L1 over the shard's set partition.
     struct ShardState
     {
         std::vector<std::unique_ptr<StackDistanceProfiler>> profs;
@@ -246,7 +245,7 @@ ShardedReplay::ProfilePass(const TraceSource &trace,
         runner_, trace, plan.block_shift, shards,
         [&](const std::vector<TraceEntry> *buckets,
             std::size_t chunks) {
-            runner_.ForEachPinned(shards, [&](std::size_t s) {
+            runner_.ForEach(shards, [&](std::size_t s) {
                 PIM_TRACE_SPAN("sweep", "shard_pass[" +
                                             std::to_string(s) + "]");
                 if (!state[s]) {

@@ -42,9 +42,7 @@
  * form of the trace never materializes — peak memory stays
  * O(window buckets + shard state) however large the on-disk corpus
  * is, and the shard state persists across windows so the counters are
- * exactly those of one uninterrupted pass.  Phase B workers are pinned
- * to cores (ForEachPinned) and each shard's state is allocated by the
- * worker that first replays it, so first-touch places it NUMA-local.
+ * exactly those of one uninterrupted pass.
  * When the geometry does not admit a valid key (non-pow2 set counts,
  * prefetcher-model passes, fewer than two shards possible) — or when a
  * trace entry spans past TraceEntry::kMaxAddr, whose split sub-entries
@@ -122,7 +120,7 @@ class ShardedReplay
      * Set-sharded profiling pass: replay @p trace through per-shard
      * private state — a cold @p l1 (when non-null) whose miss stream
      * fans out to one StackDistanceProfiler per entry of @p passes —
-     * on pinned workers, then merge the shard snapshots
+     * on the runner's workers, then merge the shard snapshots
      * (StackProfile::Merge / CacheStats::operator+=) into @p out.
      * Counters are bit-identical to the serial pass at any shard or
      * thread count: the shard key keeps every profiler set's (and L1

@@ -12,7 +12,6 @@
 
 #include "common/env.h"
 #include "common/logging.h"
-#include "sim/affinity.h"
 #include "sim/sharded_replay.h"
 #include "sim/stack_profiler.h"
 #include "telemetry/span_tracer.h"
@@ -134,28 +133,6 @@ SweepRunner::ForEach(std::size_t jobs,
     if (first_error) {
         std::rethrow_exception(first_error);
     }
-}
-
-void
-SweepRunner::ForEachPinned(
-    std::size_t jobs, const std::function<void(std::size_t)> &fn) const
-{
-    if (!affinity::PinningEnabled()) {
-        ForEach(jobs, fn);
-        return;
-    }
-    unsigned cores = std::thread::hardware_concurrency();
-    if (cores == 0) {
-        cores = 1;
-    }
-    ForEach(jobs, [&, cores](std::size_t i) {
-        // Pin the claiming worker for this job; jobs are claimed
-        // dynamically, so the pin travels with the job, and the job's
-        // own allocations (first-touch) land on the pinned core's
-        // NUMA node.  A failed pin is ignored — see sim/affinity.h.
-        affinity::PinThreadToCore(static_cast<unsigned>(i) % cores);
-        fn(i);
-    });
 }
 
 /*

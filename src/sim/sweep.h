@@ -164,19 +164,6 @@ class SweepRunner
                  const std::function<void(std::size_t)> &fn) const;
 
     /**
-     * ForEach with thread→core placement: before running fn(i), the
-     * claiming worker pins itself to core i % hardware_concurrency
-     * (Linux sched_setaffinity; a no-op elsewhere or under
-     * `PIM_PIN=off` — see sim/affinity.h).  Combined with jobs that
-     * allocate their own state (first-touch), this keeps each job's
-     * working set NUMA-local to the core that replays it.  Results are
-     * identical to ForEach — placement is purely a locality hint.
-     */
-    void
-    ForEachPinned(std::size_t jobs,
-                  const std::function<void(std::size_t)> &fn) const;
-
-    /**
      * The record-once / replay-many reference primitive: replay
      * @p trace into a fresh cold MemoryHierarchy per config,
      * concurrently, and return each design point's counter snapshot in

@@ -193,7 +193,7 @@ class AccessTrace
     /**
      * Reference replay path: one virtual Access call per entry, exactly
      * what ReplayInto did before batching existed.  Kept so equivalence
-     * tests and the sim_throughput benchmark can compare against it.
+     * tests can compare against it and feed the reference cache model.
      */
     void
     ReplayIntoScalar(MemorySink &sink) const

@@ -1,0 +1,57 @@
+/**
+ * @file
+ * Fixtures shared by the replay-engine tests: a seeded random stream,
+ * the recorded kernel streams every engine must reproduce, and a scope
+ * guard for the SIMD kill-switch.
+ */
+
+#ifndef PIM_TESTS_REPLAY_FIXTURES_H
+#define PIM_TESTS_REPLAY_FIXTURES_H
+
+#include <cstdint>
+#include <functional>
+#include <utility>
+#include <vector>
+
+#include "core/execution_context.h"
+#include "sim/simd.h"
+#include "sim/trace.h"
+
+namespace pim::sim {
+
+/**
+ * A seeded stream over three 64 KiB buffers: reuse, conflict traffic,
+ * 1-256 B spans that straddle lines, 30% writes.
+ */
+AccessTrace RandomTrace(std::uint64_t seed, std::size_t entries);
+
+/** Record a kernel's access stream through a traced CPU context. */
+AccessTrace
+RecordKernelTrace(const std::function<void(core::ExecutionContext &)> &kernel);
+
+/** LZO compression of 16 KiB of page-like data: 1-4 B probes. */
+AccessTrace RecordLzoTrace();
+
+/**
+ * The recorded kernel streams: texture tiling (128 B row spans),
+ * blitter, quantized GEMM, and LZO compression (fine-grained probes).
+ */
+std::vector<std::pair<const char *, AccessTrace>> KernelTraces();
+
+/** Forces the SIMD kill-switch for one scope, restoring it on exit. */
+class SimdGuard
+{
+  public:
+    explicit SimdGuard(bool on) : prev_(simd::Enabled())
+    {
+        simd::SetEnabled(on);
+    }
+    ~SimdGuard() { simd::SetEnabled(prev_); }
+
+  private:
+    bool prev_;
+};
+
+} // namespace pim::sim
+
+#endif // PIM_TESTS_REPLAY_FIXTURES_H

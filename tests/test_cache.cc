@@ -14,23 +14,10 @@
 #include "sim/hierarchy.h"
 #include "sim/simd.h"
 #include "sim/trace.h"
+#include "replay_fixtures.h"
 
 namespace pim::sim {
 namespace {
-
-/** Forces the SIMD kill-switch for one scope, restoring it on exit. */
-class SimdGuard
-{
-  public:
-    explicit SimdGuard(bool on) : prev_(simd::Enabled())
-    {
-        simd::SetEnabled(on);
-    }
-    ~SimdGuard() { simd::SetEnabled(prev_); }
-
-  private:
-    bool prev_;
-};
 
 CacheConfig
 SmallCache(Bytes size = 1_KiB, std::uint32_t assoc = 2)

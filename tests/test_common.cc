@@ -398,9 +398,9 @@ TEST(Env, MalformedSwitchWarnsWithValueAndFallback)
     EXPECT_NE(msg.find("'ON'"), std::string::npos) << msg;
     EXPECT_NE(msg.find("keeping enabled"), std::string::npos) << msg;
 
-    EXPECT_FALSE(ParseSwitchValue("PIM_PIN", "enabled", false));
+    EXPECT_FALSE(ParseSwitchValue("PIM_SHARD_PASS", "enabled", false));
     ASSERT_EQ(warns.messages().size(), 2u);
-    EXPECT_NE(warns.messages()[1].find("PIM_PIN"), std::string::npos);
+    EXPECT_NE(warns.messages()[1].find("PIM_SHARD_PASS"), std::string::npos);
     EXPECT_NE(warns.messages()[1].find("'enabled'"),
               std::string::npos);
     EXPECT_NE(warns.messages()[1].find("keeping disabled"),

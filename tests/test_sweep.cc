@@ -29,7 +29,6 @@
 #include "common/logging.h"
 #include "common/rng.h"
 #include "core/execution_context.h"
-#include "sim/affinity.h"
 #include "sim/cache.h"
 #include "sim/dram.h"
 #include "sim/hierarchy.h"
@@ -39,10 +38,7 @@
 #include "sim/sweep.h"
 #include "sim/trace.h"
 #include "sim/trace_codec.h"
-#include "workloads/browser/color_blitter.h"
-#include "workloads/browser/texture_tiler.h"
-#include "workloads/ml/gemm.h"
-#include "workloads/ml/pack.h"
+#include "replay_fixtures.h"
 
 namespace pim::sim {
 namespace {
@@ -101,28 +97,6 @@ TEST(AccessTrace, AppendReservesGeometrically)
     EXPECT_EQ(trace.size(), first + 1);
 }
 
-/** Build a randomized stream exercising reuse, strides, and straddles. */
-AccessTrace
-RandomTrace(std::uint64_t seed, std::size_t entries)
-{
-    Rng rng(seed);
-    AccessTrace trace;
-    // A few disjoint "buffers" so the stream mixes spatial locality
-    // with conflict traffic.
-    const Address bases[] = {0x10'0000, 0x40'0000, 0x80'0000};
-    for (std::size_t i = 0; i < entries; ++i) {
-        const Address base =
-            bases[rng.Range(0, 2)] +
-            static_cast<Address>(rng.Range(0, 64 * 1024));
-        const Bytes bytes = static_cast<Bytes>(rng.Range(1, 256));
-        const AccessType type = rng.Range(0, 99) < 30
-                                    ? AccessType::kWrite
-                                    : AccessType::kRead;
-        trace.Append(base, bytes, type);
-    }
-    return trace;
-}
-
 class BatchedEquivalenceTest
     : public ::testing::TestWithParam<HierarchyConfig>
 {
@@ -154,25 +128,6 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(HostHierarchyConfig(), HostStackedHierarchyConfig(),
                       PimCoreHierarchyConfig(), PimAccelHierarchyConfig()),
     HierarchyParamName);
-
-TEST(BatchedEquivalence, NonPowerOfTwoSetCount)
-{
-    // 3 sets (192 lines / 64 ways... size 3*2*64): exercises the
-    // modulo fallback of the shift/mask set indexing.
-    const CacheConfig cfg{"np2", 3 * 2 * 64, 2, 64};
-    const AccessTrace trace = RandomTrace(0xBEEF, 20000);
-
-    DramCounter dram_a(Lpddr3Config());
-    Cache scalar(cfg, dram_a);
-    trace.ReplayIntoScalar(scalar);
-
-    DramCounter dram_b(Lpddr3Config());
-    Cache batched(cfg, dram_b);
-    trace.ReplayInto(batched);
-
-    EXPECT_TRUE(SameCacheStats(scalar.stats(), batched.stats()));
-    EXPECT_TRUE(SameDramStats(dram_a.stats(), dram_b.stats()));
-}
 
 TEST(BatchedEquivalence, RecorderTeesBatchesIdentically)
 {
@@ -439,61 +394,6 @@ TEST(StackProfiler, NonPowerOfTwoSetCountMatchesCache)
         SameCacheStats(prof.StatsForAssociativity(2), cache.stats()));
     EXPECT_TRUE(SameDramStats(prof.DramTrafficForAssociativity(2),
                               dram.stats()));
-}
-
-/** Record a kernel's access stream through a traced CPU context. */
-AccessTrace
-RecordKernelTrace(
-    const std::function<void(core::ExecutionContext &)> &kernel)
-{
-    AccessTrace trace;
-    core::ExecutionContext ctx(core::ExecutionTarget::kCpuOnly);
-    ctx.AttachTrace(trace);
-    kernel(ctx);
-    ctx.DetachTrace();
-    return trace;
-}
-
-/** The three kernel streams the one-pass engines must reproduce. */
-std::vector<std::pair<const char *, AccessTrace>>
-KernelTraces()
-{
-    std::vector<std::pair<const char *, AccessTrace>> traces;
-    Rng rng(77);
-
-    browser::Bitmap linear(128, 128);
-    linear.Randomize(rng);
-    traces.emplace_back(
-        "tiler", RecordKernelTrace([&](core::ExecutionContext &ctx) {
-            browser::TiledTexture tiled(128, 128);
-            browser::TileTexture(linear, tiled, ctx);
-        }));
-
-    browser::Bitmap dst(128, 128, 0xff000000);
-    browser::Bitmap src(64, 64);
-    src.Randomize(rng);
-    traces.emplace_back(
-        "blitter", RecordKernelTrace([&](core::ExecutionContext &ctx) {
-            browser::ColorBlitter blitter(dst, ctx);
-            blitter.FillRect({8, 8, 100, 100}, 0xff336699);
-            blitter.BlitSrcOver(src, 16, 16);
-            blitter.BlitCopy(src, 48, 48);
-        }));
-
-    ml::Matrix<std::uint8_t> a(48, 64);
-    ml::Matrix<std::uint8_t> b(64, 32);
-    a.Randomize(rng);
-    b.Randomize(rng);
-    traces.emplace_back(
-        "gemm", RecordKernelTrace([&](core::ExecutionContext &ctx) {
-            ml::PackedMatrix pa(48, 64);
-            ml::PackedMatrix pb(32, 64);
-            ml::PackLhs(a, pa, ctx);
-            ml::PackRhs(b, pb, ctx);
-            ml::PackedResult pr(48, 32);
-            ml::QuantizedGemm(pa, 3, pb, 128, pr, ctx);
-        }));
-    return traces;
 }
 
 /**
@@ -886,24 +786,10 @@ TEST(AccessTrace, RunningByteTotalsMatchScan)
 
 // ---- SIMD probe x replay engines --------------------------------
 
-/** Forces the SIMD kill-switch for one scope, restoring it on exit. */
-class SimdGuard
-{
-  public:
-    explicit SimdGuard(bool on) : prev_(simd::Enabled())
-    {
-        simd::SetEnabled(on);
-    }
-    ~SimdGuard() { simd::SetEnabled(prev_); }
-
-  private:
-    bool prev_;
-};
-
 TEST(SimdEquivalence, KernelTracesBitIdenticalAcrossProbeAndShards)
 {
-    // Satellite of the SoA/vector-probe change: the tiler, blitter,
-    // and GEMM streams must land on identical CacheStats and DramStats
+    // The tiler, blitter, GEMM and LZO streams must land on identical
+    // CacheStats and DramStats
     // whether sets are probed by the vector path or the scalar path
     // (PIM_SIMD=off), in a serial replay or a study whose L1 is
     // sharded at 1/2/8 workers.
@@ -951,30 +837,6 @@ TEST(SimdEquivalence, CompactDecodeIdenticalAcrossProbePaths)
     }
 }
 
-// ---- Pinning ----------------------------------------------------
-
-TEST(SweepRunner, ForEachPinnedRunsEveryJobExactlyOnce)
-{
-    SweepRunner runner(4);
-    constexpr std::size_t kJobs = 64;
-    std::vector<std::atomic<int>> ran(kJobs);
-    runner.ForEachPinned(kJobs, [&](std::size_t i) {
-        ran[i].fetch_add(1, std::memory_order_relaxed);
-    });
-    for (std::size_t i = 0; i < kJobs; ++i) {
-        EXPECT_EQ(ran[i].load(), 1) << "job " << i;
-    }
-}
-
-TEST(Affinity, KillSwitchDisablesPinning)
-{
-    const bool prev = affinity::PinningEnabled();
-    affinity::SetPinningEnabled(false);
-    EXPECT_FALSE(affinity::PinningEnabled());
-    EXPECT_FALSE(affinity::PinThreadToCore(0));
-    affinity::SetPinningEnabled(prev);
-}
-
 TEST(SweepRunner, SetDefaultThreadsBeatsEnvironment)
 {
     ASSERT_EQ(setenv("PIM_SWEEP_THREADS", "3", 1), 0);
@@ -993,8 +855,8 @@ TEST(SweepRunner, SetDefaultThreadsBeatsEnvironment)
 
 /**
  * Randomized property suite for the generalized profiler: across
- * random (line, sets, assoc, write-policy) geometries and the three
- * standard kernel traces, a single profiling pass must be bit-identical
+ * random (line, sets, assoc, write-policy) geometries and the recorded
+ * kernel traces, a single profiling pass must be bit-identical
  * to replaying the stream through a sim::Cache of the same geometry —
  * stats and below-traffic both, for every policy.
  */

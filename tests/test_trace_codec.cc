@@ -23,28 +23,10 @@
 #include "sim/trace.h"
 #include "sim/trace_codec.h"
 #include "telemetry/span_tracer.h"
+#include "replay_fixtures.h"
 
 namespace pim::sim {
 namespace {
-
-AccessTrace
-RandomTrace(std::uint64_t seed, std::size_t entries)
-{
-    Rng rng(seed);
-    AccessTrace trace;
-    const Address bases[] = {0x10'0000, 0x40'0000, 0x80'0000};
-    for (std::size_t i = 0; i < entries; ++i) {
-        const Address base =
-            bases[rng.Range(0, 2)] +
-            static_cast<Address>(rng.Range(0, 64 * 1024));
-        const Bytes bytes = static_cast<Bytes>(rng.Range(1, 256));
-        const AccessType type = rng.Range(0, 99) < 30
-                                    ? AccessType::kWrite
-                                    : AccessType::kRead;
-        trace.Append(base, bytes, type);
-    }
-    return trace;
-}
 
 void
 ExpectSameEntries(const AccessTrace &a, const AccessTrace &b)
@@ -114,6 +96,17 @@ TEST(TraceCodec, InterleavedStridedStreamsCostOneByteEach)
     // here (plus per-block literal/index overhead).
     EXPECT_LE(compact.BytesPerEntry(), 1.1);
     EXPECT_GE(compact.CompressionRatio(), 7.0);
+}
+
+TEST(TraceCodec, RecordedLzoStreamRoundTripsUnderFourBytesPerEntry)
+{
+    // The fine-grained end of the kernel spectrum: LZO compression's
+    // 1-4 B probes, whose deltas and sizes vary entry to entry, must
+    // still round-trip exactly within the codec's 4.0 B/entry target.
+    const AccessTrace raw = RecordLzoTrace();
+    const CompactTrace compact = CompactTrace::Encode(raw);
+    ExpectSameEntries(raw, compact.Decode());
+    EXPECT_LE(compact.BytesPerEntry(), 4.0);
 }
 
 TEST(TraceCodec, LongRunsUseTheVarintCountPath)
