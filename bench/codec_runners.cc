@@ -35,7 +35,12 @@ RunSwDecoder(int width, int height, int frames,
     video::VideoGenerator gen(cfg);
     video::Vp9Encoder encoder(width, height);
     video::Vp9Decoder decoder;
+    // The encoder only produces the bitstream: none of its counters
+    // are reported, so its accesses go to a NullSink instead of a
+    // simulated hierarchy.
     ExecutionContext ectx(core::ExecutionTarget::kCpuOnly);
+    sim::NullSink discard;
+    ectx.mem().Rebind(discard);
     ExecutionContext dctx(core::ExecutionTarget::kCpuOnly);
     for (int i = 0; i < frames; ++i) {
         const video::Frame frame = gen.NextFrame();

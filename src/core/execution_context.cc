@@ -87,22 +87,6 @@ ExecutionContext::DetachTrace()
     }
 }
 
-sim::CompactTrace
-ExecutionContext::DetachCompactTrace()
-{
-    port_.Rebind(hierarchy_.Top());
-    sim::CompactTrace trace;
-    if (compact_recorder_) {
-        trace = compact_recorder_->Finish();
-        PIM_TRACE_COUNTER("trace.bytes", trace.RawBytes());
-        PIM_TRACE_COUNTER("trace.compact_bytes", trace.SizeBytes());
-        PIM_TRACE_COUNTER("trace.compression_ratio",
-                          trace.CompressionRatio());
-        compact_recorder_.reset();
-    }
-    return trace;
-}
-
 void
 ExecutionContext::Reset(bool drain_caches)
 {

@@ -113,35 +113,12 @@ class ExecutionContext
      */
     void DetachTrace();
 
-    /**
-     * Tee every subsequent access into a compact encoder
-     * (sim/trace_codec.h) instead of a raw trace: the recording's
-     * resident footprint is the encoded size, never the 8-byte form.
-     * Collect the result with DetachCompactTrace().
-     */
-    void
-    AttachCompactTrace()
-    {
-        compact_recorder_ =
-            std::make_unique<sim::CompactTraceRecorder>(
-                hierarchy_.Top());
-        port_.Rebind(*compact_recorder_);
-    }
-
-    /**
-     * Stop compact recording and return the encoded stream, reporting
-     * the same trace.* telemetry counters DetachTrace does.  Returns
-     * an empty trace if AttachCompactTrace was never called.
-     */
-    sim::CompactTrace DetachCompactTrace();
-
   private:
     ExecutionTarget target_;
     ComputeModel compute_;
     sim::MemoryHierarchy hierarchy_;
     sim::EnergyModel energy_model_;
     std::unique_ptr<sim::TraceRecorder> recorder_;
-    std::unique_ptr<sim::CompactTraceRecorder> compact_recorder_;
     sim::MemPort port_;
     sim::OpCounter ops_;
 };

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "common/logging.h"
+#include "telemetry/span_tracer.h"
 
 namespace pim::core {
 
@@ -220,12 +221,21 @@ RecordedCompactKernel
 KernelSession::RecordCompact(const KernelSpec &spec)
 {
     const KernelInstance inst = Instantiate(spec);
-    RecordedCompactKernel rec;
+    // Trace-only: the port feeds the encoder over a NullSink, so no
+    // cache hierarchy is simulated while the kernel runs.  Nothing
+    // reads a CPU report off a compact recording; replay derives every
+    // counter from the stream.
+    sim::NullSink discard;
+    sim::CompactTraceRecorder recorder(discard);
     ExecutionContext ctx(ExecutionTarget::kCpuOnly);
-    ctx.AttachCompactTrace();
+    ctx.mem().Rebind(recorder);
     inst.run(ctx);
-    rec.trace = ctx.DetachCompactTrace();
-    rec.cpu = ctx.Report(spec.name);
+    RecordedCompactKernel rec;
+    rec.trace = recorder.Finish();
+    PIM_TRACE_COUNTER("trace.bytes", rec.trace.RawBytes());
+    PIM_TRACE_COUNTER("trace.compact_bytes", rec.trace.SizeBytes());
+    PIM_TRACE_COUNTER("trace.compression_ratio",
+                      rec.trace.CompressionRatio());
     return rec;
 }
 

@@ -204,7 +204,6 @@ struct RecordedKernel
 /** Record's compact twin: the stream encoded as it is produced. */
 struct RecordedCompactKernel
 {
-    RunReport cpu;           ///< Native CPU-Only report.
     sim::CompactTrace trace; ///< The stream, already block-encoded.
 };
 
@@ -236,10 +235,13 @@ class KernelSession
     RecordedKernel Record(const KernelSpec &spec);
 
     /**
-     * Record, but straight into the compact encoded form: the access
-     * stream never exists as an 8-byte-per-entry array, so recording a
-     * corpus of large kernels peaks at the *encoded* size plus one
-     * codec block.  (`pim_run --corpus` records through this.)
+     * Record the access stream alone, straight into the compact
+     * encoded form.  The stream never exists as an 8-byte-per-entry
+     * array, so recording a corpus of large kernels peaks at the
+     * *encoded* size plus one codec block, and no cache hierarchy is
+     * fed, so recording costs the kernel and the encoder only.  The
+     * stream is the one Record captures.  (`pim_run --corpus` and
+     * serve's cold path record through this.)
      */
     RecordedCompactKernel RecordCompact(const KernelSpec &spec);
 

@@ -591,10 +591,8 @@ PimServer::AcquireTrace(const Job &job, std::string *source)
             PIM_ASSERT(spec != nullptr,
                        "job for unknown kernel '%s'", job.kernel.c_str());
             core::KernelSession session(job.scale);
-            core::RecordedKernel rec = session.Record(*spec);
             sim::CompactTrace encoded =
-                sim::CompactTrace::Encode(rec.trace);
-            rec.trace = sim::AccessTrace{}; // drop the 8-byte form
+                session.RecordCompact(*spec).trace;
             ++traces_recorded_;
             corpus_.Store(key, job.kernel, job.scale, encoded);
             auto handle = std::make_shared<TraceHandle>();

@@ -1,53 +1,84 @@
 #include "workloads/video/video_gen.h"
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
 
+#include "common/fastdiv.h"
 #include "common/rng.h"
 
 namespace pim::video {
 
 namespace {
 
+constexpr double kCell = 16.0; // texture feature size, pixels
+
 /**
  * Smooth value-noise texture (cheap, deterministic, band-limited),
- * sampled along one row: the row's terms are computed once, and the
- * four lattice hashes once per 16-pixel cell.  Each sample evaluates
- * the same double expressions on the same values as a per-pixel
- * evaluation would.
+ * sampled over a window of columns.  Each column's lattice cell and
+ * blend weight are computed once per window, and each column's blended
+ * top and bottom lattice rows once per 16-pixel band of rows, so a
+ * pixel costs one blend.  Every value is the same double expression on
+ * the same operands a per-pixel evaluation computes, so the texture is
+ * byte-identical to it (tests/video_gen_oracle.h holds that form).
  */
-class TextureRow
+class TextureWindow
 {
   public:
-    TextureRow(std::uint32_t seed, double y) : seed_(seed)
+    /** Column i of the window samples the texture at @p coord(i). */
+    template <typename ColumnCoord>
+    TextureWindow(std::uint32_t seed, int columns, ColumnCoord coord)
+        : seed_(seed), ix_(static_cast<std::size_t>(columns)),
+          sx_(ix_.size()), top_(ix_.size()), bot_(ix_.size())
     {
-        const double fy = y / kCell;
-        iy_ = static_cast<int>(std::floor(fy));
-        const double ty = fy - iy_;
-        sy_ = ty * ty * (3 - 2 * ty); // smoothstep
+        for (std::size_t i = 0; i < ix_.size(); ++i) {
+            const double fx = coord(static_cast<int>(i)) / kCell;
+            const int ix = static_cast<int>(std::floor(fx));
+            const double tx = fx - ix;
+            ix_[i] = ix;
+            sx_[i] = tx * tx * (3 - 2 * tx); // smoothstep
+        }
     }
 
-    std::uint8_t
-    Sample(double x)
+    /** Sample every column at row coordinate @p y into @p out. */
+    void
+    SampleRow(double y, std::uint8_t *out)
     {
-        const double fx = x / kCell;
-        const int ix = static_cast<int>(std::floor(fx));
-        if (!have_cell_ || ix != ix_) {
-            l00_ = Lattice(ix, iy_);
-            l10_ = Lattice(ix + 1, iy_);
-            l01_ = Lattice(ix, iy_ + 1);
-            l11_ = Lattice(ix + 1, iy_ + 1);
-            ix_ = ix;
-            have_cell_ = true;
+        const double fy = y / kCell;
+        const int iy = static_cast<int>(std::floor(fy));
+        const double ty = fy - iy;
+        const double sy = ty * ty * (3 - 2 * ty); // smoothstep
+        if (!have_band_ || iy != band_iy_) {
+            LoadBand(iy);
         }
-        const double tx = fx - ix;
-        const double sx = tx * tx * (3 - 2 * tx); // smoothstep
-        const double top = l00_ * (1 - sx) + l10_ * sx;
-        const double bot = l01_ * (1 - sx) + l11_ * sx;
-        return static_cast<std::uint8_t>(top * (1 - sy_) + bot * sy_);
+        const std::size_t n = ix_.size();
+        for (std::size_t i = 0; i < n; ++i) {
+            out[i] = static_cast<std::uint8_t>(top_[i] * (1 - sy) +
+                                               bot_[i] * sy);
+        }
     }
 
   private:
-    static constexpr double kCell = 16.0; // texture feature size, pixels
+    /** Blend the lattice rows iy and iy + 1 across every column. */
+    void
+    LoadBand(int iy)
+    {
+        double l00 = 0, l10 = 0, l01 = 0, l11 = 0;
+        for (std::size_t i = 0; i < ix_.size(); ++i) {
+            const int ix = ix_[i];
+            if (i == 0 || ix != ix_[i - 1]) {
+                l00 = Lattice(ix, iy);
+                l10 = Lattice(ix + 1, iy);
+                l01 = Lattice(ix, iy + 1);
+                l11 = Lattice(ix + 1, iy + 1);
+            }
+            const double sx = sx_[i];
+            top_[i] = l00 * (1 - sx) + l10 * sx;
+            bot_[i] = l01 * (1 - sx) + l11 * sx;
+        }
+        band_iy_ = iy;
+        have_band_ = true;
+    }
 
     double
     Lattice(int ix, int iy) const
@@ -62,11 +93,11 @@ class TextureRow
     }
 
     std::uint32_t seed_;
-    int iy_ = 0;
-    double sy_ = 0;
-    bool have_cell_ = false;
-    int ix_ = 0;
-    double l00_ = 0, l10_ = 0, l01_ = 0, l11_ = 0;
+    std::vector<int> ix_;
+    std::vector<double> sx_;
+    std::vector<double> top_, bot_;
+    bool have_band_ = false;
+    int band_iy_ = 0;
 };
 
 } // namespace
@@ -96,62 +127,84 @@ Frame
 VideoGenerator::NextFrame()
 {
     Frame frame(config_.width, config_.height);
+    const int width = config_.width;
+    const int height = config_.height;
+    std::uint8_t *const luma = frame.y.buffer().data();
+    const auto luma_row = [&](int y) {
+        return luma + static_cast<std::size_t>(y) * width;
+    };
 
     // Panning background.
-    for (int y = 0; y < config_.height; ++y) {
-        TextureRow texture(static_cast<std::uint32_t>(config_.seed), y);
-        for (int x = 0; x < config_.width; ++x) {
-            frame.y.At(x, y) = texture.Sample(x + pan_);
+    {
+        TextureWindow texture(static_cast<std::uint32_t>(config_.seed),
+                              width, [&](int x) { return x + pan_; });
+        for (int y = 0; y < height; ++y) {
+            texture.SampleRow(y, luma_row(y));
         }
     }
 
-    // Moving textured objects.
+    // Moving textured objects, clipped to the frame.
     for (const Object &o : objects_) {
         const int x0 = static_cast<int>(std::floor(o.x));
         const int y0 = static_cast<int>(std::floor(o.y));
-        for (int dy = 0; dy < o.h; ++dy) {
-            const int y = y0 + dy;
-            if (y < 0 || y >= config_.height) {
-                continue;
-            }
-            TextureRow texture(o.texture_seed, y - o.y);
-            for (int dx = 0; dx < o.w; ++dx) {
-                const int x = x0 + dx;
-                if (x < 0 || x >= config_.width) {
-                    continue;
-                }
-                const int t = texture.Sample(x - o.x);
-                const int v = (o.base_luma * 3 + t) / 4;
-                frame.y.At(x, y) = static_cast<std::uint8_t>(v);
+        const int xb = std::max(x0, 0);
+        const int xe = std::min(x0 + o.w, width);
+        const int yb = std::max(y0, 0);
+        const int ye = std::min(y0 + o.h, height);
+        if (xb >= xe || yb >= ye) {
+            continue;
+        }
+        const int n = xe - xb;
+        TextureWindow texture(o.texture_seed, n,
+                              [&](int i) { return (xb + i) - o.x; });
+        for (int y = yb; y < ye; ++y) {
+            std::uint8_t *dst = luma_row(y) + xb;
+            texture.SampleRow(y - o.y, dst);
+            for (int i = 0; i < n; ++i) {
+                const int v = (o.base_luma * 3 + dst[i]) / 4;
+                dst[i] = static_cast<std::uint8_t>(v);
             }
         }
     }
 
     // Chroma: smooth gradients derived from position (low-detail).
-    for (int y = 0; y < frame.u.h(); ++y) {
-        for (int x = 0; x < frame.u.w(); ++x) {
-            frame.u.At(x, y) = static_cast<std::uint8_t>(
-                112 + (x * 24) / std::max(1, frame.u.w()));
-            frame.v.At(x, y) = static_cast<std::uint8_t>(
-                120 + (y * 16) / std::max(1, frame.v.h()));
-        }
+    // U varies along a row only, V along a column only.
+    const int chroma_w = frame.u.w();
+    const int chroma_h = frame.u.h();
+    std::vector<std::uint8_t> u_row(static_cast<std::size_t>(chroma_w));
+    for (int x = 0; x < chroma_w; ++x) {
+        u_row[static_cast<std::size_t>(x)] = static_cast<std::uint8_t>(
+            112 + (x * 24) / std::max(1, chroma_w));
+    }
+    for (int y = 0; y < chroma_h; ++y) {
+        const std::size_t row = static_cast<std::size_t>(y) * chroma_w;
+        std::memcpy(frame.u.buffer().data() + row, u_row.data(),
+                    u_row.size());
+        std::memset(frame.v.buffer().data() + row,
+                    120 + (y * 16) / std::max(1, frame.v.h()),
+                    u_row.size());
     }
 
-    // Mild sensor noise on luma.
+    // Mild sensor noise on luma: one xorshift step per pixel, in
+    // raster order, reduced modulo the span by a hoisted reciprocal.
     if (config_.noise_amplitude > 0) {
-        const int span = 2 * config_.noise_amplitude + 1;
-        for (int y = 0; y < config_.height; ++y) {
-            for (int x = 0; x < config_.width; ++x) {
-                noise_state_ ^= noise_state_ << 13;
-                noise_state_ ^= noise_state_ >> 7;
-                noise_state_ ^= noise_state_ << 17;
-                const int noise = static_cast<int>(noise_state_ % span) -
+        const FastDiv span(
+            static_cast<std::uint64_t>(2 * config_.noise_amplitude + 1));
+        std::uint64_t state = noise_state_;
+        for (int y = 0; y < height; ++y) {
+            std::uint8_t *row = luma_row(y);
+            for (int x = 0; x < width; ++x) {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                const int noise = static_cast<int>(span.Mod(state)) -
                                   config_.noise_amplitude;
-                const int v = frame.y.At(x, y) + noise;
-                frame.y.At(x, y) = static_cast<std::uint8_t>(
+                const int v = row[x] + noise;
+                row[x] = static_cast<std::uint8_t>(
                     v < 0 ? 0 : (v > 255 ? 255 : v));
             }
         }
+        noise_state_ = state;
     }
 
     // Advance the scene.

@@ -64,6 +64,12 @@ RecordLzoTrace()
     return trace;
 }
 
+void
+PrintTo(const HierarchyConfig &config, std::ostream *os)
+{
+    *os << config.name;
+}
+
 std::vector<std::pair<const char *, AccessTrace>>
 KernelTraces()
 {

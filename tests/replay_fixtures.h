@@ -1,8 +1,9 @@
 /**
  * @file
  * Fixtures shared by the replay-engine tests: a seeded random stream,
- * the recorded kernel streams every engine must reproduce, and a scope
- * guard for the SIMD kill-switch.
+ * the recorded kernel streams every engine must reproduce, a gtest
+ * printer for hierarchy parameters, and a scope guard for the SIMD
+ * kill-switch.
  */
 
 #ifndef PIM_TESTS_REPLAY_FIXTURES_H
@@ -10,10 +11,12 @@
 
 #include <cstdint>
 #include <functional>
+#include <ostream>
 #include <utility>
 #include <vector>
 
 #include "core/execution_context.h"
+#include "sim/hierarchy.h"
 #include "sim/simd.h"
 #include "sim/trace.h"
 
@@ -37,6 +40,14 @@ AccessTrace RecordLzoTrace();
  * blitter, quantized GEMM, and LZO compression (fine-grained probes).
  */
 std::vector<std::pair<const char *, AccessTrace>> KernelTraces();
+
+/**
+ * gtest printer for HierarchyConfig parameters: the config's name.
+ * Without it gtest dumps the struct's bytes, heap pointers of its
+ * strings included, into every registered test name, so the names
+ * change from build to build.
+ */
+void PrintTo(const HierarchyConfig &config, std::ostream *os);
 
 /** Forces the SIMD kill-switch for one scope, restoring it on exit. */
 class SimdGuard

@@ -5,7 +5,8 @@
  * kernel on all three targets, bit-identical equivalence between the
  * registry path and a hard-coded legacy-style setup (one kernel per
  * workload group), the record-once LLC sweep equivalence behind
- * `pim_run --sweep=llc`, and the MPKI zero-instruction guards.
+ * `pim_run --sweep=llc`, compact recording against raw recording for
+ * every kernel, and the MPKI zero-instruction guards.
  */
 
 #include <gtest/gtest.h>
@@ -13,6 +14,7 @@
 #include <cstdint>
 #include <set>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/buffer.h"
@@ -20,6 +22,7 @@
 #include "core/kernel_registry.h"
 #include "sim/hierarchy.h"
 #include "sim/sweep.h"
+#include "sim/trace_codec.h"
 #include "telemetry/report_json.h"
 #include "workloads/browser/texture_tiler.h"
 #include "workloads/catalog.h"
@@ -305,6 +308,45 @@ TEST(RegistrySweep, RecordedLlcSweepMatchesPerConfigReplays)
         EXPECT_TRUE(study.host[0][i].writebacks_exact);
         EXPECT_TRUE(SameCounters(study.host[0][i].counters, replayed[i]))
             << "LLC point " << spec.llc_points[i].size;
+    }
+}
+
+TEST(RecordingEquivalence, CompactRecordingMatchesRawForEveryKernel)
+{
+    // Serve's cold path and `pim_run --corpus` store RecordCompact's
+    // stream, which feeds no hierarchy; every counter replayed from it
+    // assumes it is the stream Record captures.  Each side records
+    // from a reset address cursor on a fresh thread, so per-thread
+    // scratch buffers land at the same simulated addresses both times.
+    for (const KernelSpec *spec : Catalog().All()) {
+        sim::AccessTrace raw;
+        sim::CompactTrace compact;
+        std::thread([&] {
+            SimAddressSpace::ResetForTest();
+            KernelSession session(0.25);
+            raw = session.Record(*spec).trace;
+        }).join();
+        std::thread([&] {
+            SimAddressSpace::ResetForTest();
+            KernelSession session(0.25);
+            compact = session.RecordCompact(*spec).trace;
+        }).join();
+
+        const sim::AccessTrace decoded = compact.Decode();
+        ASSERT_GT(raw.size(), 0u) << spec->Slug();
+        ASSERT_EQ(decoded.size(), raw.size()) << spec->Slug();
+        std::size_t first_diff = raw.size();
+        for (std::size_t i = 0; i < raw.size(); ++i) {
+            if (decoded[i].word != raw[i].word) {
+                first_diff = i;
+                break;
+            }
+        }
+        EXPECT_EQ(first_diff, raw.size()) << spec->Slug();
+        // Byte for byte what the cold path stored when it recorded raw
+        // and encoded afterwards: same container, same served digest.
+        EXPECT_EQ(compact.Digest(), sim::CompactTrace::Encode(raw).Digest())
+            << spec->Slug();
     }
 }
 

@@ -11,6 +11,8 @@
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
+#include <functional>
+#include <memory>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -18,6 +20,7 @@
 
 #include "common/rng.h"
 #include "core/execution_context.h"
+#include "core/kernel_registry.h"
 #include "sim/hierarchy.h"
 #include "sim/simd.h"
 #include "sim/trace.h"
@@ -208,60 +211,56 @@ TEST(TraceCodec, RecorderTeeMatchesPostHocEncode)
     EXPECT_EQ(posthoc.SizeBytes(), compact.SizeBytes());
 }
 
+/** A catalog-style spec whose instance runs @p body. */
+core::KernelSpec
+SpecRunning(std::function<void(core::ExecutionContext &)> body)
+{
+    core::KernelSpec spec;
+    spec.name = "Test Pattern";
+    spec.group = "test";
+    spec.make = [body](std::shared_ptr<void> &, double) {
+        return core::KernelInstance{{}, body};
+    };
+    return spec;
+}
+
 TEST(TraceCodec, ExecutionContextCompactRecordingRoundTrips)
 {
-    // The two recording modes on a live ExecutionContext capture the
-    // same stream for the same deterministic access pattern.
-    const auto drive = [](core::ExecutionContext &ctx) {
-        for (std::size_t i = 0; i < 4000; ++i) {
-            ctx.mem().Read(0x2000 + (i % 128) * 64, 64);
-            if (i % 3 == 0) {
-                ctx.mem().Write(0x80000 + i * 64, 32);
+    // The two recording modes capture the same stream for the same
+    // deterministic access pattern, although only the raw one feeds a
+    // live hierarchy.
+    const core::KernelSpec spec =
+        SpecRunning([](core::ExecutionContext &ctx) {
+            for (std::size_t i = 0; i < 4000; ++i) {
+                ctx.mem().Read(0x2000 + (i % 128) * 64, 64);
+                if (i % 3 == 0) {
+                    ctx.mem().Write(0x80000 + i * 64, 32);
+                }
             }
-        }
-    };
-
-    AccessTrace raw;
-    {
-        core::ExecutionContext ctx(core::ExecutionTarget::kCpuOnly);
-        ctx.AttachTrace(raw);
-        drive(ctx);
-        ctx.DetachTrace();
-    }
-    CompactTrace compact;
-    {
-        core::ExecutionContext ctx(core::ExecutionTarget::kCpuOnly);
-        ctx.AttachCompactTrace();
-        drive(ctx);
-        compact = ctx.DetachCompactTrace();
-    }
-    ExpectSameEntries(raw, compact.Decode());
+        });
+    core::KernelSession session;
+    const core::RecordedKernel raw = session.Record(spec);
+    EXPECT_GT(raw.cpu.counters.dram.TotalBytes(), 0u);
+    const CompactTrace compact = session.RecordCompact(spec).trace;
+    ExpectSameEntries(raw.trace, compact.Decode());
 }
 
 TEST(TraceCodec, DetachEmitsCompressionCounters)
 {
-    // With tracing on, both detach paths report the compact footprint
-    // beside the raw one.
+    // With tracing on, both recording paths report the compact
+    // footprint beside the raw one.
+    const core::KernelSpec spec =
+        SpecRunning([](core::ExecutionContext &ctx) {
+            for (std::size_t i = 0; i < 256; ++i) {
+                ctx.mem().Read(0x1000 + i * 64, 64);
+            }
+        });
     auto &tracer = telemetry::Tracer::Global();
     tracer.SetEnabled(true);
     tracer.Clear();
-    {
-        core::ExecutionContext ctx(core::ExecutionTarget::kCpuOnly);
-        AccessTrace raw;
-        ctx.AttachTrace(raw);
-        for (std::size_t i = 0; i < 256; ++i) {
-            ctx.mem().Read(0x1000 + i * 64, 64);
-        }
-        ctx.DetachTrace();
-    }
-    {
-        core::ExecutionContext ctx(core::ExecutionTarget::kCpuOnly);
-        ctx.AttachCompactTrace();
-        for (std::size_t i = 0; i < 256; ++i) {
-            ctx.mem().Read(0x1000 + i * 64, 64);
-        }
-        (void)ctx.DetachCompactTrace();
-    }
+    core::KernelSession session;
+    (void)session.Record(spec);
+    (void)session.RecordCompact(spec);
     tracer.SetEnabled(false);
 
     int bytes = 0, compact_bytes = 0, ratio = 0;
