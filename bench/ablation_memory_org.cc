@@ -161,9 +161,10 @@ PrintMemoryOrgStudy(bench::BenchOutput &out)
     // --- Memory-organization DRAM traffic, answered as a pure
     // profiler query: per kernel, ONE ProfileStudy derives the host
     // hierarchy's off-chip traffic and both PIM targets' stack-internal
-    // traffic from the same stack distances (two trace decodes per
-    // kernel — the host L1 pass and the shared raw-trace PIM pass —
-    // instead of one full hierarchy replay per organization).
+    // traffic from the same stack distances (one trace decode per
+    // kernel — the host L1 pass, with the raw-trace PIM passes riding
+    // beside the L1 — instead of one full hierarchy replay per
+    // organization).
     out.Section("org_traffic", [&] {
         ensure_traces();
 

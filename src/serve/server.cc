@@ -790,7 +790,7 @@ PimServer::ExecuteStudyJob(Job &job)
             sim::SweepRunner(SweepThreadBudget())};
         sim::ShardedPassResult sharded_pass;
         if (EnvSwitch("PIM_SHARD_PASS", true) &&
-            sharded.ProfilePass(stream, &base.l1, {pcfg},
+            sharded.ProfilePass(stream, &base.l1, {pcfg}, {},
                                 &sharded_pass)) {
             fresh->profile = std::move(sharded_pass.profiles[0]);
             fresh->l1 = sharded_pass.l1;

@@ -65,9 +65,9 @@ PartitionEntries(const TraceEntry *entries, std::size_t count,
  * of blocks it fills per-(chunk, shard) entry buckets (laid out
  * bucket[c * shards + s], chunks in trace order) in parallel on the
  * runner, then invokes @p replay_window(buckets, chunks) to let the
- * caller's shard workers consume them.  A resident source is one
- * window; a non-resident one streams in windows of 64 blocks per
- * worker, so only the current window's buckets are ever decoded.
+ * caller's shard workers consume them.  Every source streams in
+ * windows of 64 blocks per worker, so only the current window's
+ * buckets are ever decoded.
  * Bucket capacity survives window to window (clear, not free).
  * Returns false if any access overflowed TraceEntry::kMaxAddr (the
  * caller reruns serially from scratch).
@@ -82,11 +82,8 @@ RunWindowedShardPipeline(
     const std::size_t threads =
         std::max<std::size_t>(1, runner.thread_count());
     const std::size_t block_count = trace.BlockCount();
-    const std::size_t window_blocks =
-        trace.resident() ? block_count : 64 * threads;
-    std::vector<std::vector<TraceEntry>> buckets(
-        std::min(threads, std::max<std::size_t>(1, window_blocks)) *
-        shards);
+    const std::size_t window_blocks = 64 * threads;
+    std::vector<std::vector<TraceEntry>> buckets(threads * shards);
     std::atomic<bool> overflow{false};
 
     for (std::size_t wbegin = 0; wbegin < block_count;
@@ -135,16 +132,18 @@ ShardedReplayPlan
 ShardedReplay::PlanForPass(
     const CacheConfig *l1,
     const std::vector<StackProfilerConfig> &passes,
+    const std::vector<StackProfilerConfig> &raw_passes,
     unsigned shard_limit)
 {
     ShardedReplayPlan plan;
-    if (passes.empty()) {
+    if (passes.empty() && raw_passes.empty()) {
         plan.why = "no profiling passes";
         return plan;
     }
-    // Every level (the optional nested L1 plus each pass geometry)
-    // constrains the key bits to its set-index range [l, l+n) in byte
-    // terms; the key must fit inside the intersection of them all.
+    // Every level (the optional nested L1 plus each nested and raw
+    // pass geometry) constrains the key bits to its set-index range
+    // [l, l+n) in byte terms; the key must fit inside the intersection
+    // of them all.
     std::uint32_t max_line = 0;
     std::uint32_t min_line = std::numeric_limits<std::uint32_t>::max();
     std::uint32_t min_period =
@@ -158,24 +157,31 @@ ShardedReplay::PlanForPass(
             min_period, line_shift + static_cast<std::uint32_t>(
                                          std::countr_zero(sets)));
     };
-    for (const StackProfilerConfig &pass : passes) {
+    // Returns the reason @p pass admits no key, or null.
+    auto add_pass = [&](const StackProfilerConfig &pass) -> const char * {
         if (pass.model_prefetcher) {
             // The stream detector pairs ADJACENT lines — different
             // sets — so its state cannot be partitioned by set.
-            plan.why = "prefetcher model couples lines across sets";
-            return plan;
+            return "prefetcher model couples lines across sets";
         }
         if (pass.line_bytes == 0 ||
             (pass.line_bytes & (pass.line_bytes - 1)) != 0) {
-            plan.why = "pass line size is not a power of two";
-            return plan;
+            return "pass line size is not a power of two";
         }
         if (pass.num_sets == 0 ||
             (pass.num_sets & (pass.num_sets - 1)) != 0) {
-            plan.why = "pass set count is not a power of two";
-            return plan;
+            return "pass set count is not a power of two";
         }
         add_level(pass.line_bytes, pass.num_sets);
+        return nullptr;
+    };
+    for (const auto *list : {&passes, &raw_passes}) {
+        for (const StackProfilerConfig &pass : *list) {
+            if (const char *why = add_pass(pass)) {
+                plan.why = why;
+                return plan;
+            }
+        }
     }
     if (l1 != nullptr) {
         const CacheGeometry geo(*l1);
@@ -216,11 +222,12 @@ bool
 ShardedReplay::ProfilePass(const TraceSource &trace,
                            const CacheConfig *l1,
                            const std::vector<StackProfilerConfig> &passes,
+                           const std::vector<StackProfilerConfig> &raw_passes,
                            ShardedPassResult *out) const
 {
     *out = ShardedPassResult{};
     const ShardedReplayPlan plan =
-        PlanForPass(l1, passes, runner_.thread_count());
+        PlanForPass(l1, passes, raw_passes, runner_.thread_count());
     if (!plan.supported || trace.empty()) {
         // An empty trace's serial pass is free; don't spin up shards.
         return false;
@@ -230,14 +237,16 @@ ShardedReplay::ProfilePass(const TraceSource &trace,
 
     // Per-shard private pass state, created lazily by the worker that
     // first replays the shard and persistent across windows: the
-    // profilers for every pass geometry under one fanout, optionally
-    // fed by a cold private L1 over the shard's set partition.
+    // profilers for every nested pass geometry under one fanout,
+    // optionally fed by a cold private L1 over the shard's set
+    // partition, beside the raw passes' profilers.  profs holds the
+    // nested passes, then the raw ones.
     struct ShardState
     {
         std::vector<std::unique_ptr<StackDistanceProfiler>> profs;
-        FanoutSink fanout;
+        FanoutSink nested;
         std::unique_ptr<Cache> l1;
-        MemorySink *top = nullptr;
+        FanoutSink top;
     };
     std::vector<std::unique_ptr<ShardState>> state(shards);
 
@@ -250,22 +259,29 @@ ShardedReplay::ProfilePass(const TraceSource &trace,
                                             std::to_string(s) + "]");
                 if (!state[s]) {
                     auto st = std::make_unique<ShardState>();
-                    st->profs.reserve(passes.size());
+                    st->profs.reserve(passes.size() + raw_passes.size());
                     for (const StackProfilerConfig &cfg : passes) {
                         st->profs.push_back(
                             std::make_unique<StackDistanceProfiler>(
                                 cfg));
-                        st->fanout.AddSink(*st->profs.back());
+                        st->nested.AddSink(*st->profs.back());
                     }
-                    st->top = &st->fanout;
                     if (l1 != nullptr) {
                         st->l1 = std::make_unique<Cache>(*l1,
-                                                         st->fanout);
-                        st->top = st->l1.get();
+                                                         st->nested);
+                        st->top.AddSink(*st->l1);
+                    } else {
+                        st->top.AddSink(st->nested);
+                    }
+                    for (const StackProfilerConfig &cfg : raw_passes) {
+                        st->profs.push_back(
+                            std::make_unique<StackDistanceProfiler>(
+                                cfg));
+                        st->top.AddSink(*st->profs.back());
                     }
                     state[s] = std::move(st);
                 }
-                MemorySink &top = *state[s]->top;
+                MemorySink &top = state[s]->top;
                 for (std::size_t c = 0; c < chunks; ++c) {
                     const auto &bucket = buckets[c * shards + s];
                     if (!bucket.empty()) {
@@ -282,13 +298,20 @@ ShardedReplay::ProfilePass(const TraceSource &trace,
     // Merge: every counter is a sum over disjoint set partitions (the
     // trace is non-empty, so every shard's state exists).
     out->shards = shards;
+    auto merged = [&](std::size_t p) {
+        StackProfile prof = state[0]->profs[p]->profile();
+        for (unsigned s = 1; s < shards; ++s) {
+            prof.Merge(state[s]->profs[p]->profile());
+        }
+        return prof;
+    };
     out->profiles.reserve(passes.size());
     for (std::size_t p = 0; p < passes.size(); ++p) {
-        StackProfile merged = state[0]->profs[p]->profile();
-        for (unsigned s = 1; s < shards; ++s) {
-            merged.Merge(state[s]->profs[p]->profile());
-        }
-        out->profiles.push_back(std::move(merged));
+        out->profiles.push_back(merged(p));
+    }
+    out->raw_profiles.reserve(raw_passes.size());
+    for (std::size_t p = 0; p < raw_passes.size(); ++p) {
+        out->raw_profiles.push_back(merged(passes.size() + p));
     }
     if (l1 != nullptr) {
         out->l1 = state[0]->l1->stats();

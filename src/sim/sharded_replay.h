@@ -32,17 +32,22 @@
  * exactly the probes, in the order, that Cache::AccessSpan would
  * generate.
  *
+ * Raw passes may ride beside the L1: a job's top level is a fanout of
+ * its L1 (whose miss stream feeds the nested passes) and of raw-trace
+ * passes that see the trace itself — SweepRunner::ProfileStudy hangs
+ * its PIM points on the host L1 replays this way.  The raw passes'
+ * geometries join the key like any other level.
+ *
  * A pass consumes any TraceSource (sim/trace.h) and runs in two phases
  * on SweepRunner::ForEach per *window* of blocks: (A) parallel
  * partition of the window's block cursors into per-(chunk, shard)
  * entry buckets, and (B) one private persistent shard state per shard
  * replaying its buckets in chunk order through the batched fast path.
- * Resident sources use a single window (the whole trace); non-resident
- * (mmap-backed) sources use windows of 64 blocks per worker so the raw
- * form of the trace never materializes — peak memory stays
- * O(window buckets + shard state) however large the on-disk corpus
- * is, and the shard state persists across windows so the counters are
- * exactly those of one uninterrupted pass.
+ * Every source — in-RAM raw or compact, or mmap-backed — streams in
+ * windows of 64 blocks per worker, so the raw form of the trace never
+ * materializes: peak memory stays O(window buckets + shard state)
+ * however long the trace is, and the shard state persists across
+ * windows so the counters are exactly those of one uninterrupted pass.
  * When the geometry does not admit a valid key (non-pow2 set counts,
  * prefetcher-model passes, fewer than two shards possible) — or when a
  * trace entry spans past TraceEntry::kMaxAddr, whose split sub-entries
@@ -84,6 +89,8 @@ struct ShardedPassResult
     CacheStats l1;
     /** Merged pass profiles, parallel to the pass config list. */
     std::vector<StackProfile> profiles;
+    /** Merged raw-trace pass profiles, parallel to the raw configs. */
+    std::vector<StackProfile> raw_profiles;
 };
 
 /** Intra-trace parallel profiling pass over one trace. */
@@ -100,8 +107,9 @@ class ShardedReplay
      * The sharding a profiling pass would use: one block-cyclic key
      * simultaneously valid for the optional nested L1 (@p l1, may be
      * null for raw-trace passes) and EVERY pass geometry in
-     * @p passes.  Each level with line 2^l and 2^n sets constrains the
-     * key bits to [l, l+n); the key therefore uses bits
+     * @p passes and @p raw_passes.  Each level with line 2^l and 2^n
+     * sets constrains the key bits to [l, l+n); the key therefore uses
+     * bits
      * [shift, shift+log2 S) with shift >= max(l) and
      * shift + log2 S <= min(l+n), which makes the shard a function of
      * each level's set index — so every set's probe subsequence (and
@@ -114,25 +122,29 @@ class ShardedReplay
     static ShardedReplayPlan
     PlanForPass(const CacheConfig *l1,
                 const std::vector<StackProfilerConfig> &passes,
+                const std::vector<StackProfilerConfig> &raw_passes,
                 unsigned shard_limit);
 
     /**
      * Set-sharded profiling pass: replay @p trace through per-shard
      * private state — a cold @p l1 (when non-null) whose miss stream
-     * fans out to one StackDistanceProfiler per entry of @p passes —
-     * on the runner's workers, then merge the shard snapshots
+     * fans out to one StackDistanceProfiler per entry of @p passes
+     * (fed the trace itself when @p l1 is null), beside one profiler
+     * per entry of @p raw_passes fed the trace itself — on the
+     * runner's workers, then merge the shard snapshots
      * (StackProfile::Merge / CacheStats::operator+=) into @p out.
      * Counters are bit-identical to the serial pass at any shard or
      * thread count: the shard key keeps every profiler set's (and L1
      * set's) ordered probe subsequence intact, and every merged
-     * counter is a sum over disjoint sets.  Non-resident sources are
-     * streamed in bounded windows (see the file comment).  Returns
-     * false — with *out untouched beyond reset — when the plan is
+     * counter is a sum over disjoint sets.  Sources are streamed in
+     * bounded windows (see the file comment).  Returns false — with
+     * *out untouched beyond reset — when the plan is
      * unsupported or an access overflows TraceEntry::kMaxAddr; the
      * caller then runs the serial pass.
      */
     bool ProfilePass(const TraceSource &trace, const CacheConfig *l1,
                      const std::vector<StackProfilerConfig> &passes,
+                     const std::vector<StackProfilerConfig> &raw_passes,
                      ShardedPassResult *out) const;
 
   private:

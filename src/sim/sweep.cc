@@ -7,6 +7,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <thread>
 #include <tuple>
 
@@ -284,13 +285,15 @@ SweepRunner::ProfileStudy(const TraceSource &trace,
                   : std::vector<StudyPassGroup>{};
 
     // One job per distinct L1 geometry: identical L1 points share a
-    // single replay and read the same profilers.
-    struct L1Job
+    // single replay and read the same profilers.  A PIM-only study is
+    // one job with no L1.
+    struct ReplayJob
     {
-        CacheConfig l1;
+        std::optional<CacheConfig> l1;
         std::vector<std::size_t> rows; ///< Indices into l1_points.
+        std::vector<std::size_t> pim;  ///< PIM groups riding the replay.
     };
-    std::vector<L1Job> l1_jobs;
+    std::vector<ReplayJob> jobs;
     if (host_grid) {
         std::map<std::tuple<Bytes, std::uint32_t, Bytes, WritePolicy>,
                  std::size_t>
@@ -299,17 +302,18 @@ SweepRunner::ProfileStudy(const TraceSource &trace,
             const CacheConfig &l1 = spec.l1_points[i];
             const auto key = std::make_tuple(
                 l1.size, l1.associativity, l1.line_bytes, l1.policy);
-            auto [it, inserted] =
-                job_of.try_emplace(key, l1_jobs.size());
+            auto [it, inserted] = job_of.try_emplace(key, jobs.size());
             if (inserted) {
-                l1_jobs.push_back(L1Job{l1, {}});
+                jobs.push_back(ReplayJob{l1, {}, {}});
             }
-            l1_jobs[it->second].rows.push_back(i);
+            jobs[it->second].rows.push_back(i);
         }
     }
 
     // PIM points profile the raw trace; their pass groups are shared
-    // the same way and all ride one extra replay.
+    // the same way, and group g rides replay g mod n beside that
+    // replay's L1: a profiler sees the same ordered stream whether it
+    // sits alone under the trace or beside an L1 in a fanout.
     std::vector<CacheConfig> pim_cfgs;
     pim_cfgs.reserve(spec.pim_points.size());
     for (const StudyPimPoint &p : spec.pim_points) {
@@ -317,145 +321,135 @@ SweepRunner::ProfileStudy(const TraceSource &trace,
     }
     const std::vector<StudyPassGroup> pim_groups =
         GroupStudyPoints(pim_cfgs, false);
+    if (jobs.empty() && !pim_groups.empty()) {
+        jobs.emplace_back();
+    }
+    for (std::size_t g = 0; g < pim_groups.size(); ++g) {
+        jobs[g % jobs.size()].pim.push_back(g);
+    }
 
-    const std::size_t pim_jobs = pim_groups.empty() ? 0 : 1;
-    result.trace_replays = l1_jobs.size() + pim_jobs;
+    result.trace_replays = jobs.size();
     result.profile_passes =
-        l1_jobs.size() * llc_groups.size() + pim_groups.size();
+        jobs.size() * llc_groups.size() + pim_groups.size();
 
-    // Readout helpers shared by the sharded and serial job bodies:
-    // identical O(histogram) readouts over whichever profile store a
-    // job produced (merged shard snapshots or live profilers).
-    auto read_l1_job =
-        [&](const L1Job &j, const CacheStats &l1_stats,
-            const std::function<const StackProfile &(std::size_t)>
-                &prof) {
-            for (std::size_t g = 0; g < llc_groups.size(); ++g) {
-                const StudyPassGroup &pg = llc_groups[g];
-                for (std::size_t m = 0; m < pg.points.size(); ++m) {
-                    const StudyPointResult point = ReadProfilePoint(
-                        prof(g), pg.assocs[m], pg.policies[m],
-                        spec.model_prefetcher);
-                    for (const std::size_t row : j.rows) {
-                        StudyPointResult &out =
-                            result.host[row][pg.points[m]];
-                        out = point;
-                        out.counters.l1 = l1_stats;
-                        out.counters.has_llc = true;
-                    }
-                }
-            }
-        };
-    auto read_pim_job =
-        [&](const std::function<const StackProfile &(std::size_t)>
-                &prof) {
-            for (std::size_t g = 0; g < pim_groups.size(); ++g) {
-                const StudyPassGroup &pg = pim_groups[g];
-                for (std::size_t m = 0; m < pg.points.size(); ++m) {
-                    // A PIM point is the profiled cache over its DRAM
-                    // path directly: the profiler's stats ARE its L1.
-                    const StudyPointResult point = ReadProfilePoint(
-                        prof(g), pg.assocs[m], pg.policies[m], false);
-                    StudyPointResult &out = result.pim[pg.points[m]];
+    // Readout shared by the sharded and serial job bodies: identical
+    // O(histogram) readouts over whichever profile store a job
+    // produced (merged shard snapshots or live profilers).  @p llc
+    // indexes the LLC groups, @p pim the job's riding PIM groups.
+    using ProfileOf =
+        std::function<const StackProfile &(std::size_t)>;
+    auto read_job = [&](const ReplayJob &j, const CacheStats &l1_stats,
+                        const ProfileOf &llc, const ProfileOf &pim) {
+        for (std::size_t g = 0; g < llc_groups.size(); ++g) {
+            const StudyPassGroup &pg = llc_groups[g];
+            for (std::size_t m = 0; m < pg.points.size(); ++m) {
+                const StudyPointResult point = ReadProfilePoint(
+                    llc(g), pg.assocs[m], pg.policies[m],
+                    spec.model_prefetcher);
+                for (const std::size_t row : j.rows) {
+                    StudyPointResult &out =
+                        result.host[row][pg.points[m]];
                     out = point;
-                    out.counters.l1 = out.counters.llc;
-                    out.counters.llc = CacheStats{};
-                    out.counters.has_llc = false;
+                    out.counters.l1 = l1_stats;
+                    out.counters.has_llc = true;
                 }
             }
-        };
+        }
+        for (std::size_t k = 0; k < j.pim.size(); ++k) {
+            const StudyPassGroup &pg = pim_groups[j.pim[k]];
+            for (std::size_t m = 0; m < pg.points.size(); ++m) {
+                // A PIM point is the profiled cache over its DRAM
+                // path directly: the profiler's stats ARE its L1.
+                StudyPointResult &out = result.pim[pg.points[m]];
+                out = ReadProfilePoint(pim(k), pg.assocs[m],
+                                       pg.policies[m], false);
+                out.counters.l1 = out.counters.llc;
+                out.counters.llc = CacheStats{};
+                out.counters.has_llc = false;
+            }
+        }
+    };
 
-    // Pass configs per group, shared by every job of that side.
+    // Pass configs: the LLC groups nest under every job's L1 (there
+    // are none in a PIM-only study); each job's raw passes are its
+    // riding PIM groups.
     std::vector<StackProfilerConfig> llc_cfgs;
     llc_cfgs.reserve(llc_groups.size());
     for (const StudyPassGroup &g : llc_groups) {
         llc_cfgs.push_back(g.cfg);
     }
-    std::vector<StackProfilerConfig> pim_pass_cfgs;
-    pim_pass_cfgs.reserve(pim_groups.size());
-    for (const StudyPassGroup &g : pim_groups) {
-        pim_pass_cfgs.push_back(g.cfg);
-    }
+    auto raw_cfgs = [&](const ReplayJob &j) {
+        std::vector<StackProfilerConfig> cfgs;
+        for (const std::size_t g : j.pim) {
+            cfgs.push_back(pim_groups[g].cfg);
+        }
+        return cfgs;
+    };
 
     // Sharded-capable jobs run one at a time, each spreading its set
     // shards over the full worker pool (sim/sharded_replay.h) — this
-    // is what parallelizes the common single-L1 study.  Jobs the
+    // is what parallelizes the common single-L1 study.  A job shards
+    // only when every level it feeds admits one key; the jobs the
     // engine declines (prefetcher-model passes, geometries without a
-    // valid shard key, PIM_SHARD_PASS=off) batch into one ForEach
-    // exactly as before.
+    // valid shard key, PIM_SHARD_PASS=off) batch into one ForEach.
     std::vector<std::size_t> serial_jobs;
     const ShardedReplay sharded(*this);
     const bool use_sharded = ShardPassEnabled();
-    for (std::size_t job = 0; job < l1_jobs.size() + pim_jobs;
-         ++job) {
-        if (!use_sharded) {
-            serial_jobs.push_back(job);
+    for (std::size_t j = 0; j < jobs.size(); ++j) {
+        const ReplayJob &job = jobs[j];
+        ShardedPassResult pass;
+        if (!use_sharded ||
+            !sharded.ProfilePass(
+                trace, job.l1 ? &*job.l1 : nullptr, llc_cfgs,
+                raw_cfgs(job), &pass)) {
+            serial_jobs.push_back(j);
             continue;
         }
-        ShardedPassResult pass;
-        if (job < l1_jobs.size()) {
-            if (!sharded.ProfilePass(trace, &l1_jobs[job].l1,
-                                     llc_cfgs, &pass)) {
-                serial_jobs.push_back(job);
-                continue;
-            }
-            read_l1_job(l1_jobs[job], pass.l1,
-                        [&](std::size_t g) -> const StackProfile & {
-                            return pass.profiles[g];
-                        });
-        } else {
-            if (!sharded.ProfilePass(trace, nullptr, pim_pass_cfgs,
-                                     &pass)) {
-                serial_jobs.push_back(job);
-                continue;
-            }
-            read_pim_job([&](std::size_t g) -> const StackProfile & {
-                return pass.profiles[g];
-            });
-        }
+        read_job(job, pass.l1,
+                 [&](std::size_t g) -> const StackProfile & {
+                     return pass.profiles[g];
+                 },
+                 [&](std::size_t k) -> const StackProfile & {
+                     return pass.raw_profiles[k];
+                 });
         result.shards = std::max(result.shards, pass.shards);
     }
 
     ForEach(serial_jobs.size(), [&](std::size_t idx) {
-        const std::size_t job = serial_jobs[idx];
-        if (job < l1_jobs.size()) {
-            const L1Job &j = l1_jobs[job];
-            PIM_TRACE_SPAN("sweep",
-                           "study_l1[" + std::to_string(job) + "]x" +
-                               std::to_string(llc_groups.size()));
-            // The nested pass: one L1 simulation whose exact miss
-            // stream (fills + victim writebacks, in emission order)
-            // fans out to every profiling pass while hot.
-            std::vector<std::unique_ptr<StackDistanceProfiler>> profs;
-            FanoutSink fanout;
-            profs.reserve(llc_groups.size());
-            for (const StudyPassGroup &g : llc_groups) {
-                profs.push_back(
-                    std::make_unique<StackDistanceProfiler>(g.cfg));
-                fanout.AddSink(*profs.back());
-            }
-            Cache l1(j.l1, fanout);
-            trace.ReplayInto(l1);
-            read_l1_job(j, l1.stats(),
-                        [&](std::size_t g) -> const StackProfile & {
-                            return profs[g]->profile();
-                        });
-            return;
-        }
-
-        PIM_TRACE_SPAN("sweep", "study_pim");
-        std::vector<std::unique_ptr<StackDistanceProfiler>> profs;
-        FanoutSink fanout;
-        profs.reserve(pim_groups.size());
-        for (const StudyPassGroup &g : pim_groups) {
-            profs.push_back(
+        const ReplayJob &job = jobs[serial_jobs[idx]];
+        PIM_TRACE_SPAN("sweep", "study_job[" +
+                                    std::to_string(serial_jobs[idx]) +
+                                    "]");
+        // The nested pass: one L1 simulation whose exact miss stream
+        // (fills + victim writebacks, in emission order) fans out to
+        // every LLC pass while hot, beside the riding PIM passes.
+        std::vector<std::unique_ptr<StackDistanceProfiler>> llc_profs;
+        std::vector<std::unique_ptr<StackDistanceProfiler>> pim_profs;
+        FanoutSink llc_fanout;
+        FanoutSink top;
+        std::unique_ptr<Cache> l1;
+        for (const StudyPassGroup &g : llc_groups) {
+            llc_profs.push_back(
                 std::make_unique<StackDistanceProfiler>(g.cfg));
-            fanout.AddSink(*profs.back());
+            llc_fanout.AddSink(*llc_profs.back());
         }
-        trace.ReplayInto(fanout);
-        read_pim_job([&](std::size_t g) -> const StackProfile & {
-            return profs[g]->profile();
-        });
+        if (job.l1) {
+            l1 = std::make_unique<Cache>(*job.l1, llc_fanout);
+            top.AddSink(*l1);
+        }
+        for (const std::size_t g : job.pim) {
+            pim_profs.push_back(std::make_unique<StackDistanceProfiler>(
+                pim_groups[g].cfg));
+            top.AddSink(*pim_profs.back());
+        }
+        trace.ReplayInto(top);
+        read_job(job, l1 ? l1->stats() : CacheStats{},
+                 [&](std::size_t g) -> const StackProfile & {
+                     return llc_profs[g]->profile();
+                 },
+                 [&](std::size_t k) -> const StackProfile & {
+                     return pim_profs[k]->profile();
+                 });
     });
     return result;
 }

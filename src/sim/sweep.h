@@ -12,8 +12,9 @@
  *    set count, write-allocate) group while hot, and every LLC design
  *    point is an O(histogram) readout of its group's pass — one pass
  *    covers every capacity phrased at a fixed set count.  A
- *    single-level LLC ladder is the one-L1 case.  Passes are
- *    set-sharded across the worker pool when the geometry admits it
+ *    single-level LLC ladder is the one-L1 case.  PIM points' passes
+ *    ride those replays beside the L1.  Passes are set-sharded across
+ *    the worker pool when the geometry admits it
  *    (sim/sharded_replay.h).  See sim/stack_profiler.h.
  *  - ReplayTrace: the reference path — one full cold replay per
  *    config, for any (heterogeneous) hierarchy.  Kept as the
@@ -90,7 +91,10 @@ struct StudyResult
     /** host[i][j] = l1_points[i] x llc_points[j]. */
     std::vector<std::vector<StudyPointResult>> host;
     std::vector<StudyPointResult> pim; ///< Parallel to pim_points.
-    /** Times the input trace was decoded (L1 passes + PIM pass). */
+    /**
+     * Times the input trace was decoded: one per distinct L1 geometry,
+     * or one for a PIM-only study.
+     */
     std::size_t trace_replays = 0;
     /** Stack-distance profiling passes executed across all jobs. */
     std::size_t profile_passes = 0;
@@ -197,8 +201,11 @@ class SweepRunner
      *    the L1 is simulated once (sim::Cache) with its miss stream
      *    fanning out to the group's nested profilers while hot — the
      *    miss stream is never materialized;
-     *  - all PIM points together cost one more replay (profilers on
-     *    the raw trace, no host hierarchy).
+     *  - the PIM points cost no replay of their own: their pass
+     *    groups (profilers on the raw trace, no host hierarchy) ride
+     *    the L1 replays, group g beside the L1 of replay g mod n, so
+     *    each sees the trace itself; a PIM-only study is one replay
+     *    with no L1.
      *
      * Every pass is depth-bounded at the largest associativity among
      * its group's points (StackProfilerConfig::max_assoc) — write-back,
@@ -206,7 +213,7 @@ class SweepRunner
      * read out — so a pass's per-probe cost is bounded by that
      * associativity rather than the trace's footprint.
      *
-     * So an L x (G passes) x A-point grid costs L + 1 replays and
+     * So an L x (G passes) x A-point grid costs L replays and
      * L x G + G_pim profiling passes, independent of A.  Counters are
      * bit-identical to ReplayTrace on the equivalent hierarchies
      * wherever writebacks_exact (always, except write-back points
@@ -220,7 +227,8 @@ class SweepRunner
      * associativity * line_bytes, as for any Cache.
      *
      * Each replay job is additionally set-sharded across the worker
-     * pool when its geometries admit a common shard key
+     * pool when all of its geometries (L1, LLC groups and riding PIM
+     * groups) admit a common shard key
      * (sim/sharded_replay.h): per-shard private L1s feed per-shard
      * profiler fanouts and the shard snapshots merge bit-identically,
      * so even a single-L1 study uses every core.  Prefetcher-model

@@ -47,10 +47,7 @@ namespace pim::sim {
  *    into source-owned storage live as long as the source);
  *  - Block() is const and safe to call concurrently from multiple
  *    threads *with distinct scratch buffers* — the sharded replay
- *    partitions blocks in parallel through one shared source;
- *  - resident() says whether the decoded stream lives in RAM: engines
- *    may buffer O(trace) state for resident sources but must keep
- *    memory O(block buffers) when it is false (out-of-core replay).
+ *    partitions blocks in parallel through one shared source.
  *
  * See DESIGN.md §5j for the full contract and the rationale.
  */
@@ -85,9 +82,6 @@ class TraceSource
      * self-contained: any subset may be cursored in any order.
      */
     virtual Span Block(std::size_t b, TraceEntry *scratch) const = 0;
-
-    /** True when the decoded stream is RAM-resident (see above). */
-    virtual bool resident() const = 0;
 
     /**
      * Replay every access into @p sink in order through the batched
@@ -265,8 +259,6 @@ class AccessTraceSource final : public TraceSource
             std::min(kBlockEntries, trace_->size() - begin);
         return Span{trace_->data() + begin, count};
     }
-
-    bool resident() const override { return true; }
 
     /** The raw trace replays as ONE batch — same counters, no loop. */
     void

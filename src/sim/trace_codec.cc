@@ -33,6 +33,7 @@ CompactTraceEncoder::Finish()
     trace.entries_ = entries_;
     trace.read_bytes_ = read_bytes_;
     trace.write_bytes_ = write_bytes_;
+    trace.digest_ = trace.ComputeDigest();
     *this = CompactTraceEncoder{};
     return trace;
 }
@@ -204,7 +205,7 @@ SetError(std::string *error, std::string msg)
 } // namespace
 
 std::uint64_t
-CompactTrace::Digest() const
+CompactTrace::ComputeDigest() const
 {
     ContentDigest d;
     d.UpdateU64(entries_);
@@ -313,7 +314,8 @@ CompactTrace::LoadFrom(const std::string &path, std::string *error)
         SetError(error, "'" + path + "' is truncated or corrupt");
         return std::nullopt;
     }
-    if (trace.Digest() != digest) {
+    trace.digest_ = trace.ComputeDigest();
+    if (trace.digest_ != digest) {
         SetError(error, "'" + path + "' fails its content digest");
         return std::nullopt;
     }

@@ -236,7 +236,7 @@ class CompactTrace
     static constexpr std::size_t kBlockEntries =
         CompactTraceEncoder::kBlockEntries;
 
-    CompactTrace() = default;
+    CompactTrace() : digest_(ComputeDigest()) {}
 
     /** One-shot encode of an already-recorded raw trace. */
     static CompactTrace
@@ -308,9 +308,11 @@ class CompactTrace
      * block structure, and every token byte) — the identity the trace
      * corpus cache and result memo key on.  Two traces with equal
      * digests decode to the same access stream for any practical
-     * purpose (64-bit FNV-1a; see common/digest.h).  O(SizeBytes()).
+     * purpose (64-bit FNV-1a; see common/digest.h).  A trace cannot
+     * change once built, so Finish() and LoadFrom() hash it once and
+     * this is O(1).
      */
-    std::uint64_t Digest() const;
+    std::uint64_t Digest() const { return digest_; }
 
     /**
      * Persist to @p path in the versioned container format (magic,
@@ -333,11 +335,15 @@ class CompactTrace
   private:
     friend class CompactTraceEncoder;
 
+    /** The Digest() formula over the current fields, O(SizeBytes()). */
+    std::uint64_t ComputeDigest() const;
+
     std::vector<std::uint8_t> data_;
     std::vector<CompactTraceEncoder::BlockIndex> blocks_;
     std::size_t entries_ = 0;
     Bytes read_bytes_ = 0;
     Bytes write_bytes_ = 0;
+    std::uint64_t digest_ = 0;
 };
 
 static_assert(CompactTrace::kBlockEntries == TraceSource::kBlockEntries,
@@ -372,8 +378,6 @@ class CompactTraceSource final : public TraceSource
     {
         return Span{scratch, trace_->DecodeBlock(b, scratch)};
     }
-
-    bool resident() const override { return true; }
 
     void
     ReplayInto(MemorySink &sink) const override
@@ -447,7 +451,6 @@ class MappedCompactTrace final : public TraceSource
     Bytes write_bytes() const override { return write_bytes_; }
     std::size_t BlockCount() const override { return blocks_.size(); }
     Span Block(std::size_t b, TraceEntry *scratch) const override;
-    bool resident() const override { return false; }
 
     /** The content digest stored in the container header. */
     std::uint64_t header_digest() const { return digest_; }

@@ -14,8 +14,9 @@
  *     geometries;
  *   - MemoryHierarchy for the four standard HierarchyConfigs;
  *   - SweepRunner::ReplayTrace at 1, 2 and 4 threads;
- *   - the host and PIM points of a write-back SweepRunner::ProfileStudy
- *     at 1, 2 and 4 threads (sharded and serial passes).
+ *   - the host and PIM points of two write-back SweepRunner::ProfileStudy
+ *     grids at 1, 2 and 4 threads, one whose L1 replays (and the PIM
+ *     passes riding them) run serially and one whose replays shard.
  *
  * The adversarial streams carry zero-byte entries, runs of 1-4 B probes
  * inside one line, spans crossing lines and sets, addresses at the top
@@ -344,29 +345,17 @@ TEST(OracleProperty, ReplayTraceMatchesOracleAtEveryThreadCount)
     }
 }
 
-TEST(OracleProperty, WriteBackStudyPointsMatchOracle)
+/**
+ * Every host and PIM point of @p spec, from every input form at 1, 2
+ * and 4 threads, against the oracle.  With @p expect_sharded the
+ * multi-threaded studies must have set-sharded (except on the stream
+ * that spans past kMaxAddr, where every pass falls back to serial);
+ * without it every study must have run its passes serially.
+ */
+void
+CheckStudyAgainstOracle(const std::vector<Input> &inputs,
+                        const StudySpec &spec, bool expect_sharded)
 {
-    std::vector<Input> inputs;
-    ASSERT_NO_FATAL_FAILURE(BuildInputs(&inputs));
-
-    // Two L1s (one with a non-power-of-two set count, so its passes
-    // cannot shard) over an associativity ladder at 1024 sets, one
-    // 4096-set point and one 1536-set point; both PIM targets.
-    const HierarchyConfig host = HostHierarchyConfig();
-    StudySpec spec;
-    spec.dram = host.dram;
-    spec.l1_points = {host.l1, CacheConfig{"l1-96set", 96 * 4 * 64, 4, 64}};
-    for (const std::uint32_t assoc : {1u, 2u, 3u, 4u, 8u, 16u}) {
-        spec.llc_points.push_back(
-            CacheConfig{"llc", 1024 * assoc * 64, assoc, 64});
-    }
-    spec.llc_points.push_back(CacheConfig{"llc", 2_MiB, 8, 64});
-    spec.llc_points.push_back(CacheConfig{"llc", 1536 * 4 * 64, 4, 64});
-    for (const HierarchyConfig &pim :
-         {PimCoreHierarchyConfig(), PimAccelHierarchyConfig()}) {
-        spec.pim_points.push_back(StudyPimPoint{pim.name, pim.l1, pim.dram});
-    }
-
     for (const Input &in : inputs) {
         std::vector<std::vector<PerfCounters>> want_host;
         for (const CacheConfig &l1 : spec.l1_points) {
@@ -411,15 +400,66 @@ TEST(OracleProperty, WriteBackStudyPointsMatchOracle)
                                               study.pim[j].counters))
                         << tag << " pim " << j;
                 }
-                if (threads > 1) {
-                    // The power-of-two groups shard; a span past
-                    // kMaxAddr makes every pass fall back to serial.
-                    EXPECT_EQ(study.shards > 1, in.name != "past-max-addr")
-                        << tag << " shards " << study.shards;
-                }
+                // The PIM passes ride the L1 replays: one per L1.
+                EXPECT_EQ(study.trace_replays, spec.l1_points.size())
+                    << tag;
+                EXPECT_EQ(study.shards > 1, expect_sharded &&
+                                                threads > 1 &&
+                                                in.name != "past-max-addr")
+                    << tag << " shards " << study.shards;
             }
         });
     }
+}
+
+/** Both PIM targets as raw-trace study points. */
+std::vector<StudyPimPoint>
+BothPimPoints()
+{
+    std::vector<StudyPimPoint> points;
+    for (const HierarchyConfig &pim :
+         {PimCoreHierarchyConfig(), PimAccelHierarchyConfig()}) {
+        points.push_back(StudyPimPoint{pim.name, pim.l1, pim.dram});
+    }
+    return points;
+}
+
+TEST(OracleProperty, WriteBackStudyPointsMatchOracle)
+{
+    std::vector<Input> inputs;
+    ASSERT_NO_FATAL_FAILURE(BuildInputs(&inputs));
+    const HierarchyConfig host = HostHierarchyConfig();
+
+    // Serial jobs: two L1s (one with a non-power-of-two set count) over
+    // an associativity ladder at 1024 sets, one 4096-set point and one
+    // 1536-set point.  The 1536-set group gives no job a shard key, so
+    // both PIM targets ride serial L1 replays.
+    StudySpec serial;
+    serial.dram = host.dram;
+    serial.l1_points = {host.l1,
+                        CacheConfig{"l1-96set", 96 * 4 * 64, 4, 64}};
+    for (const std::uint32_t assoc : {1u, 2u, 3u, 4u, 8u, 16u}) {
+        serial.llc_points.push_back(
+            CacheConfig{"llc", 1024 * assoc * 64, assoc, 64});
+    }
+    serial.llc_points.push_back(CacheConfig{"llc", 2_MiB, 8, 64});
+    serial.llc_points.push_back(CacheConfig{"llc", 1536 * 4 * 64, 4, 64});
+    serial.pim_points = BothPimPoints();
+    CheckStudyAgainstOracle(inputs, serial, false);
+
+    // Sharded jobs: every geometry a power of two, so each L1 replay
+    // set-shards with its riding PIM target.
+    StudySpec sharded;
+    sharded.dram = host.dram;
+    sharded.l1_points = {host.l1,
+                         CacheConfig{"l1-128set", 128 * 4 * 64, 4, 64}};
+    for (const std::uint32_t assoc : {1u, 3u, 16u}) {
+        sharded.llc_points.push_back(
+            CacheConfig{"llc", 1024 * assoc * 64, assoc, 64});
+    }
+    sharded.llc_points.push_back(CacheConfig{"llc", 2_MiB, 8, 64});
+    sharded.pim_points = BothPimPoints();
+    CheckStudyAgainstOracle(inputs, sharded, true);
 }
 
 } // namespace

@@ -614,7 +614,6 @@ TEST(CorpusCache, MapStreamsStoredEntryAndPersistsProvenance)
         ASSERT_TRUE(mapped.has_value());
         EXPECT_EQ(mapped->header_digest(), trace.Digest());
         EXPECT_EQ(mapped->entries(), trace.size());
-        EXPECT_FALSE(mapped->resident());
         EXPECT_EQ(cache.files(), 1u);
         EXPECT_EQ(cache.bytes_mapped(), mapped->SizeBytes());
         EXPECT_EQ(cache.hits(), 1u);

@@ -630,22 +630,22 @@ TEST(ShardedReplay, PlanRespectsGeometryAndShardBudget)
     llc_pass.line_bytes = host.llc->line_bytes;
     llc_pass.num_sets = CacheGeometry(*host.llc).num_sets;
     const ShardedReplayPlan plan4 =
-        ShardedReplay::PlanForPass(&host.l1, {llc_pass}, 4);
+        ShardedReplay::PlanForPass(&host.l1, {llc_pass}, {}, 4);
     EXPECT_TRUE(plan4.supported);
     EXPECT_EQ(plan4.shards, 4u);
     // A budget that is not a power of two rounds down.
-    EXPECT_EQ(ShardedReplay::PlanForPass(&host.l1, {llc_pass}, 7).shards,
+    EXPECT_EQ(ShardedReplay::PlanForPass(&host.l1, {llc_pass}, {}, 7).shards,
               4u);
 
     // A budget of one shard means there is nothing to parallelize.
-    EXPECT_FALSE(ShardedReplay::PlanForPass(&host.l1, {llc_pass}, 1)
+    EXPECT_FALSE(ShardedReplay::PlanForPass(&host.l1, {llc_pass}, {}, 1)
                      .supported);
 
     // Non-power-of-two set counts have no maskable shard key.
     StackProfilerConfig odd = llc_pass;
     odd.num_sets = 192;
     EXPECT_FALSE(
-        ShardedReplay::PlanForPass(&host.l1, {odd}, 4).supported);
+        ShardedReplay::PlanForPass(&host.l1, {odd}, {}, 4).supported);
 }
 
 TEST(ShardedReplay, NonPowerOfTwoGeometryFallsBackBitIdentically)
@@ -684,7 +684,7 @@ TEST(ShardedReplay, OverflowSpanFallsBackToSerial)
         const SweepRunner runner(threads);
         ShardedPassResult pass;
         EXPECT_FALSE(ShardedReplay(runner).ProfilePass(
-            source, &host.l1, {llc_pass}, &pass))
+            source, &host.l1, {llc_pass}, {}, &pass))
             << "threads " << threads;
         EXPECT_TRUE(pass.profiles.empty());
 
@@ -1076,11 +1076,12 @@ TEST(ProfileStudy, GridMatchesReferenceReplayOnKernelTraces)
         const AccessTraceSource source(trace);
         const StudyResult study = runner.ProfileStudy(source, spec);
         ASSERT_EQ(study.host.size(), spec.l1_points.size());
-        // 3 distinct L1 geometries + 1 PIM replay.
-        EXPECT_EQ(study.trace_replays, 4u);
+        // One replay per distinct L1 geometry; the PIM groups ride
+        // them.
+        EXPECT_EQ(study.trace_replays, 3u);
         // Per L1: (1024 sets, alloc) + (1024 sets, no-alloc) +
         // (4096 sets, alloc); PIM: the two points differ in set
-        // count, so they ride one replay but two passes.
+        // count, so they are two passes on two of the L1 replays.
         EXPECT_EQ(study.profile_passes, 3u * 3u + 2u);
 
         for (std::size_t i = 0; i < spec.l1_points.size(); ++i) {
@@ -1117,6 +1118,95 @@ TEST(ProfileStudy, GridMatchesReferenceReplayOnKernelTraces)
             EXPECT_TRUE(
                 SameCounters(study.pim[j].counters, pim_ref[j]))
                 << name << " pim " << j;
+        }
+    }
+}
+
+/** Sets PIM_SHARD_PASS for one scope, then restores the old value. */
+class ShardPassSwitch
+{
+  public:
+    explicit ShardPassSwitch(bool on)
+    {
+        if (const char *old = std::getenv("PIM_SHARD_PASS")) {
+            old_ = old;
+        }
+        ::setenv("PIM_SHARD_PASS", on ? "on" : "off", 1);
+    }
+    ~ShardPassSwitch()
+    {
+        if (old_) {
+            ::setenv("PIM_SHARD_PASS", old_->c_str(), 1);
+        } else {
+            ::unsetenv("PIM_SHARD_PASS");
+        }
+    }
+    ShardPassSwitch(const ShardPassSwitch &) = delete;
+    ShardPassSwitch &operator=(const ShardPassSwitch &) = delete;
+
+  private:
+    std::optional<std::string> old_;
+};
+
+TEST(ProfileStudy, PimPointsRidingL1ReplaysMatchPimOnlyStudy)
+{
+    // The PIM groups ride the L1 replays (group g on replay g mod n),
+    // so at any L1 count, prefetcher setting and engine every PIM point
+    // must read what a PIM-only study reads, and a study must pay one
+    // replay per distinct L1 geometry (a repeated L1 adds none).
+    const StudySpec host = HostStudySpec();
+    ASSERT_EQ(host.l1_points.size(), 3u);
+    StudySpec pim_only;
+    pim_only.pim_points = host.pim_points;
+    std::vector<HierarchyConfig> pim_refs;
+    for (const StudyPimPoint &p : host.pim_points) {
+        HierarchyConfig h;
+        h.l1 = p.l1;
+        h.dram = p.dram;
+        pim_refs.push_back(std::move(h));
+    }
+    const AccessTrace trace = RandomTrace(0x71DE, 30000);
+    const AccessTraceSource source(trace);
+    const SweepRunner runner(2);
+    const std::vector<PerfCounters> ref =
+        runner.ReplayTrace(source, pim_refs);
+
+    for (const bool shard : {true, false}) {
+        const ShardPassSwitch guard(shard);
+        const StudyResult alone = runner.ProfileStudy(source, pim_only);
+        EXPECT_EQ(alone.trace_replays, 1u);
+        EXPECT_EQ(alone.shards > 1, shard);
+        ASSERT_EQ(alone.pim.size(), ref.size());
+        for (std::size_t j = 0; j < ref.size(); ++j) {
+            EXPECT_TRUE(SameCounters(alone.pim[j].counters, ref[j]))
+                << "shard " << shard << " pim " << j;
+        }
+        for (const bool prefetch : {false, true}) {
+            for (std::size_t n = 1; n <= 3; ++n) {
+                StudySpec spec = host;
+                spec.model_prefetcher = prefetch;
+                spec.l1_points.resize(n);
+                spec.l1_points.push_back(spec.l1_points.front());
+                const std::string tag =
+                    "shard " + std::to_string(shard) + " prefetch " +
+                    std::to_string(prefetch) + " l1s " +
+                    std::to_string(n);
+                const StudyResult study =
+                    runner.ProfileStudy(source, spec);
+                EXPECT_EQ(study.trace_replays, n) << tag;
+                // Every geometry here is a power of two: only the
+                // prefetcher model or the switch keeps a job serial.
+                EXPECT_EQ(study.shards > 1, shard && !prefetch) << tag;
+                ASSERT_EQ(study.pim.size(), alone.pim.size()) << tag;
+                for (std::size_t j = 0; j < alone.pim.size(); ++j) {
+                    EXPECT_TRUE(SameCounters(study.pim[j].counters,
+                                             alone.pim[j].counters))
+                        << tag << " pim " << j;
+                    EXPECT_EQ(study.pim[j].writebacks_exact,
+                              alone.pim[j].writebacks_exact)
+                        << tag << " pim " << j;
+                }
+            }
         }
     }
 }
@@ -1567,6 +1657,7 @@ TEST(ShardedPassProperty, RandomGeometriesBitIdenticalToSerial)
 
     const CacheConfig host_l1 = HostHierarchyConfig().l1;
     Rng rng(0x5A4D);
+    Rng raw_rng(0x7A1D); // riding raw-pass geometries
     int sharded_runs = 0;
     for (int g = 0; g < 48; ++g) {
         StackProfilerConfig pcfg;
@@ -1584,6 +1675,18 @@ TEST(ShardedPassProperty, RandomGeometriesBitIdenticalToSerial)
         }
         const bool nested = g % 4 < 2;
         const CacheConfig *l1 = nested ? &host_l1 : nullptr;
+        // A nested pass carries a raw pass of its own random
+        // geometry riding beside its L1, as ProfileStudy's PIM groups
+        // do; its set bits join the shard key.
+        StackProfilerConfig rcfg;
+        rcfg.line_bytes = Bytes{16} << raw_rng.Range(0, 3);
+        rcfg.num_sets = set_choices[raw_rng.Range(0, 3)];
+        rcfg.write_allocate = raw_rng.Range(0, 1) == 0;
+        rcfg.tracked_assocs = {
+            static_cast<std::uint32_t>(raw_rng.Range(1, 16))};
+        const std::vector<StackProfilerConfig> raw =
+            nested ? std::vector<StackProfilerConfig>{rcfg}
+                   : std::vector<StackProfilerConfig>{};
 
         const std::size_t t = static_cast<std::size_t>(g) %
                               traces.size();
@@ -1604,6 +1707,9 @@ TEST(ShardedPassProperty, RandomGeometriesBitIdenticalToSerial)
         };
         CacheStats ref_l1;
         const StackProfile ref = serial_pass(trace, &ref_l1);
+        StackDistanceProfiler raw_prof(rcfg);
+        trace.ReplayInto(raw_prof);
+        const StackProfile raw_ref = raw_prof.profile();
 
         const AccessTraceSource resident(trace);
         const TraceSource *const sources[] = {&resident,
@@ -1617,14 +1723,17 @@ TEST(ShardedPassProperty, RandomGeometriesBitIdenticalToSerial)
             (pcfg.write_allocate ? " alloc" : " noalloc") +
             (nested ? " nested" : " raw") +
             (pcfg.tracked_assocs.empty() ? " untracked" : " tracked") +
-            (pcfg.max_assoc != 0 ? " bounded" : "");
+            (pcfg.max_assoc != 0 ? " bounded" : "") +
+            (nested ? " + raw line=" + std::to_string(rcfg.line_bytes) +
+                          " sets=" + std::to_string(rcfg.num_sets)
+                    : std::string());
 
         for (std::size_t s = 0; s < 2; ++s) {
             for (const unsigned threads : {1u, 2u, 8u}) {
                 const ShardedReplay sharded{SweepRunner(threads)};
                 ShardedPassResult pass;
                 const bool ok = sharded.ProfilePass(
-                    *sources[s], l1, {pcfg}, &pass);
+                    *sources[s], l1, {pcfg}, raw, &pass);
                 const std::string tag = what + " via " +
                                         source_names[s] + " x" +
                                         std::to_string(threads);
@@ -1637,8 +1746,11 @@ TEST(ShardedPassProperty, RandomGeometriesBitIdenticalToSerial)
                 EXPECT_GE(pass.shards, 2u) << tag;
                 ASSERT_EQ(pass.profiles.size(), 1u) << tag;
                 EXPECT_TRUE(SameProfile(pass.profiles[0], ref)) << tag;
+                ASSERT_EQ(pass.raw_profiles.size(), raw.size()) << tag;
                 if (nested) {
                     EXPECT_TRUE(SameCacheStats(pass.l1, ref_l1))
+                        << tag;
+                    EXPECT_TRUE(SameProfile(pass.raw_profiles[0], raw_ref))
                         << tag;
                 }
                 ++sharded_runs;
@@ -1650,7 +1762,7 @@ TEST(ShardedPassProperty, RandomGeometriesBitIdenticalToSerial)
             const StackProfile long_ref = serial_pass(long_trace, &long_l1);
             ShardedPassResult pass;
             ASSERT_TRUE(ShardedReplay{SweepRunner(2)}.ProfilePass(
-                *long_saved.mapped, l1, {pcfg}, &pass))
+                *long_saved.mapped, l1, {pcfg}, {}, &pass))
                 << what << " multi-window";
             EXPECT_TRUE(SameProfile(pass.profiles[0], long_ref))
                 << what << " multi-window";
@@ -1679,34 +1791,34 @@ TEST(ShardedPass, PlanDeclinesUnshardableGeometries)
     ok.num_sets = 64;
 
     const ShardedReplayPlan good =
-        ShardedReplay::PlanForPass(&host_l1, {ok}, 8);
+        ShardedReplay::PlanForPass(&host_l1, {ok}, {}, 8);
     EXPECT_TRUE(good.supported);
     EXPECT_GE(good.shards, 2u);
 
     StackProfilerConfig pf = ok;
     pf.model_prefetcher = true;
     const ShardedReplayPlan decline_pf =
-        ShardedReplay::PlanForPass(&host_l1, {pf}, 8);
+        ShardedReplay::PlanForPass(&host_l1, {pf}, {}, 8);
     EXPECT_FALSE(decline_pf.supported);
     EXPECT_NE(std::string(decline_pf.why).find("prefetcher"),
               std::string::npos);
 
     StackProfilerConfig odd_sets = ok;
     odd_sets.num_sets = 48;
-    EXPECT_FALSE(ShardedReplay::PlanForPass(&host_l1, {odd_sets}, 8)
+    EXPECT_FALSE(ShardedReplay::PlanForPass(&host_l1, {odd_sets}, {}, 8)
                      .supported);
 
     // A single-stack (fully associative) pass leaves no set bits to
     // stripe on.
     StackProfilerConfig one_set = ok;
     one_set.num_sets = 1;
-    EXPECT_FALSE(ShardedReplay::PlanForPass(&host_l1, {one_set}, 8)
+    EXPECT_FALSE(ShardedReplay::PlanForPass(&host_l1, {one_set}, {}, 8)
                      .supported);
 
     // One worker => fewer than two shards.
-    EXPECT_FALSE(ShardedReplay::PlanForPass(&host_l1, {ok}, 1)
+    EXPECT_FALSE(ShardedReplay::PlanForPass(&host_l1, {ok}, {}, 1)
                      .supported);
-    EXPECT_FALSE(ShardedReplay::PlanForPass(&host_l1, {}, 8)
+    EXPECT_FALSE(ShardedReplay::PlanForPass(&host_l1, {}, {}, 8)
                      .supported);
 }
 
@@ -1748,7 +1860,7 @@ TEST(ShardedPass, LazyVerifyFailureSurfacesOnCaller)
     pcfg.tracked_assocs = {4};
     const ShardedReplay sharded{SweepRunner(2)};
     ShardedPassResult pass;
-    EXPECT_THROW(sharded.ProfilePass(*lazy, &host_l1, {pcfg}, &pass),
+    EXPECT_THROW(sharded.ProfilePass(*lazy, &host_l1, {pcfg}, {}, &pass),
                  std::runtime_error);
 
     std::remove(good_path.c_str());

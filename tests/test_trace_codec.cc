@@ -12,6 +12,7 @@
 #include <cstdio>
 #include <fstream>
 #include <functional>
+#include <iterator>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -407,6 +408,85 @@ TEST(TraceCodecFile, EmptyTraceRoundTrips)
     std::remove(path.c_str());
 }
 
+/**
+ * The content digest, transcribed from its definition rather than
+ * called: 64-bit FNV-1a over the entry count, read bytes, write bytes,
+ * block count and token-byte count (each 8 bytes little-endian), then
+ * the token bytes.  The fields and token bytes are read back from the
+ * trace's saved container, never from its header digest.
+ */
+std::uint64_t
+ReferenceDigest(const CompactTrace &trace, const std::string &path)
+{
+    std::string error;
+    EXPECT_TRUE(trace.SaveTo(path, &error)) << error;
+    std::ifstream in(path, std::ios::binary);
+    const std::string file((std::istreambuf_iterator<char>(in)),
+                           std::istreambuf_iterator<char>());
+    std::remove(path.c_str());
+    EXPECT_GE(file.size(), 56u);
+    if (file.size() < 56) {
+        return 0;
+    }
+    const auto u64_at = [&](std::size_t off) {
+        std::uint64_t v = 0;
+        for (int i = 0; i < 8; ++i) {
+            v |= static_cast<std::uint64_t>(
+                     static_cast<unsigned char>(file[off + i]))
+                 << (8 * i);
+        }
+        return v;
+    };
+    std::uint64_t h = 0xcbf29ce484222325ULL;
+    const auto absorb = [&](unsigned char byte) {
+        h = (h ^ byte) * 0x100000001b3ULL;
+    };
+    // Header: magic, entries, read, write, blocks, token bytes, digest.
+    for (std::size_t off = 8; off < 48; ++off) {
+        absorb(static_cast<unsigned char>(file[off]));
+    }
+    const std::uint64_t token_bytes = u64_at(40);
+    EXPECT_LE(token_bytes, file.size());
+    for (std::size_t i = file.size() - token_bytes; i < file.size(); ++i) {
+        absorb(static_cast<unsigned char>(file[i]));
+    }
+    return h;
+}
+
+TEST(TraceCodecFile, StoredDigestMatchesTheFormula)
+{
+    const std::string path = testing::TempDir() + "pim_ctrace_digest.ctrace";
+    // A default-constructed trace and an empty encode both report the
+    // digest of five zero fields and no token bytes.
+    const std::uint64_t empty = ReferenceDigest(CompactTrace{}, path);
+    EXPECT_EQ(CompactTrace{}.Digest(), empty);
+    EXPECT_EQ(CompactTrace::Encode(AccessTrace{}).Digest(), empty);
+
+    for (const auto &[name, trace] : KernelTraces()) {
+        const CompactTrace encoded = CompactTrace::Encode(trace);
+        EXPECT_EQ(encoded.Digest(), ReferenceDigest(encoded, path))
+            << name << " Encode";
+
+        CompactTraceEncoder enc;
+        for (std::size_t i = 0; i < trace.size(); ++i) {
+            const TraceEntry &e = trace.data()[i];
+            enc.Append(e.addr(), e.bytes(), e.type());
+        }
+        const CompactTrace finished = enc.Finish();
+        EXPECT_EQ(finished.Digest(), ReferenceDigest(finished, path))
+            << name << " Finish";
+        EXPECT_EQ(finished.Digest(), encoded.Digest()) << name;
+
+        std::string error;
+        ASSERT_TRUE(encoded.SaveTo(path, &error)) << error;
+        const auto loaded = CompactTrace::LoadFrom(path, &error);
+        ASSERT_TRUE(loaded.has_value()) << error;
+        EXPECT_EQ(loaded->Digest(), ReferenceDigest(*loaded, path))
+            << name << " LoadFrom";
+        EXPECT_EQ(loaded->Digest(), encoded.Digest()) << name;
+    }
+}
+
 TEST(TraceCodecFile, RejectsCorruptTruncatedAndAlienFiles)
 {
     const AccessTrace raw = RandomTrace(0xBAD, 9000);
@@ -476,7 +556,6 @@ TEST(MappedTrace, StreamsBitIdenticallyToTheInRamForms)
                               MappedCompactTrace::Verify::kNone}) {
         auto mapped = MappedCompactTrace::Open(path, &error, verify);
         ASSERT_TRUE(mapped.has_value()) << error;
-        EXPECT_FALSE(mapped->resident());
         EXPECT_EQ(mapped->entries(), compact.size());
         EXPECT_EQ(mapped->read_bytes(), compact.read_bytes());
         EXPECT_EQ(mapped->write_bytes(), compact.write_bytes());
