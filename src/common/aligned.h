@@ -1,12 +1,11 @@
 /**
  * @file
- * Minimal over-aligned allocator for SIMD-friendly storage.
+ * Minimal over-aligned allocator for the simulator's tag planes.
  *
- * The vector probe path loads tag planes with 256-bit (AVX2) or
- * 128-bit (NEON) loads.  Unaligned loads are cheap on current cores,
- * but keeping the planes cache-line aligned guarantees a set's ways
- * never straddle a line and makes the layout NUMA-page-clean for the
- * first-touch placement the sharded replay workers rely on.
+ * Keeping the planes cache-line aligned means a power-of-two set of
+ * up to eight ways never straddles a line, and makes the layout
+ * NUMA-page-clean for the first-touch placement the sharded
+ * replay workers rely on.
  */
 
 #ifndef PIM_COMMON_ALIGNED_H

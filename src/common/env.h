@@ -2,13 +2,13 @@
  * @file
  * Environment-variable parsing with loud fallbacks.
  *
- * The runtime kill-switches (PIM_SIMD, PIM_SHARD_PASS) and the
- * worker-count override (PIM_SWEEP_THREADS) are read from the
- * environment.  A typo there used to fall through silently to the
- * default — the worst failure mode for a measurement tool, because
- * the run *works* but measures the wrong configuration.  These helpers
- * accept the documented spellings and warn exactly once per call site
- * with the offending value and the fallback chosen for anything else.
+ * The runtime kill-switch (PIM_SHARD_PASS) and the worker-count
+ * override (PIM_SWEEP_THREADS) are read from the environment.  A typo
+ * there used to fall through silently to the default — the worst
+ * failure mode for a measurement tool, because the run *works* but
+ * measures the wrong configuration.  These helpers accept the
+ * documented spellings and warn exactly once per call site with the
+ * offending value and the fallback chosen for anything else.
  */
 
 #ifndef PIM_COMMON_ENV_H

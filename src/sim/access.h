@@ -44,7 +44,7 @@ enum class AccessType { kRead, kWrite };
  *
  * The 40-bit address cap is also load-bearing for the replay engines:
  * Cache marks invalid slots with an all-ones sentinel tag and tests
- * residency on the batched/vector paths with the tag compare alone,
+ * residency on the batched paths with the tag compare alone,
  * which is sound only because no packed entry's line address can ever
  * equal the sentinel (see the static_assert below and the matching
  * construction-time check in Cache).

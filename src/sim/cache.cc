@@ -6,6 +6,21 @@
 #include "common/logging.h"
 
 namespace pim::sim {
+namespace {
+
+/** Lowest way w in [0, ways) whose tag equals @p needle, or -1. */
+inline int
+WayOf(const Address *tags, std::uint32_t ways, Address needle)
+{
+    for (std::uint32_t w = 0; w < ways; ++w) {
+        if (tags[w] == needle) {
+            return static_cast<int>(w);
+        }
+    }
+    return -1;
+}
+
+} // namespace
 
 const char *
 WritePolicyName(WritePolicy policy)
@@ -45,10 +60,10 @@ Cache::Cache(const CacheConfig &config, MemorySink &below)
     : config_(config), below_(&below), geom_(config)
 {
     const std::size_t slots = geom_.num_sets * config_.associativity;
-    // Sentinel-fill the whole tag plane (including the vector-overread
-    // padding) so "invalid slot" and "tag == kInvalidTag" coincide
-    // everywhere the planes are probed tag-only.
-    tags_.assign(slots + simd::kTagPlanePad, kInvalidTag);
+    // Sentinel-fill the tag plane so "invalid slot" and
+    // "tag == kInvalidTag" coincide everywhere the planes are probed
+    // tag-only.
+    tags_.assign(slots, kInvalidTag);
     lru_.assign(slots, 0);
     valid_.assign(slots, 0);
     dirty_.assign(slots, 0);
@@ -67,8 +82,6 @@ Cache::Cache(const CacheConfig &config, MemorySink &below)
         slot_shift_ = geom_.line_shift - way_shift;
         slot_mask_ = geom_.set_mask << way_shift;
     }
-
-    use_simd_ = simd::Enabled();
 
     // The batched engines test residency with the tag compare alone,
     // so no batched line address may alias the invalid sentinel.  The
@@ -114,9 +127,7 @@ Cache::AccessBatch(const TraceEntry *entries, std::size_t count)
 
     // Registerized fast path.  An entry stays in the fast loop iff
     // every line it touches is resident, proved by probing the *whole
-    // set* through the vector seam (simd::FindWay: one AVX2/NEON
-    // compare over the set's tag lane, or the scalar loop with the
-    // same semantics).  Way positions never affect counters — hits are
+    // set's* tag lane.  Way positions never affect counters — hits are
     // found by tag and replacement by LRU stamp — so committing a hit
     // in place, wherever the way, updates the statistics exactly as
     // the scalar engine would.
@@ -138,7 +149,6 @@ Cache::AccessBatch(const TraceEntry *entries, std::size_t count)
         const std::uint32_t slot_shift = slot_shift_;
         const std::size_t slot_mask = slot_mask_;
         const std::uint32_t assoc = config_.associativity;
-        const bool use_simd = use_simd_;
         // Every probe the fast loop commits is a hit and bumps `tick`
         // exactly once, so total hits fall out of the tick delta at
         // commit time — only the write share needs its own counter.
@@ -154,7 +164,7 @@ Cache::AccessBatch(const TraceEntry *entries, std::size_t count)
 
         // Same-line coalescing for the fast loop: consecutive entries
         // hitting one line (the dominant sequential-kernel pattern)
-        // skip even the vector probe.  Safe because the run commits
+        // skip even the set probe.  Safe because the run commits
         // only hits — no fill or eviction can move a tag during a run,
         // so the remembered slot still holds `prev_line`.  The
         // sentinel initial value is unreachable by batched lines.
@@ -168,8 +178,7 @@ Cache::AccessBatch(const TraceEntry *entries, std::size_t count)
             const std::size_t base =
                 static_cast<std::size_t>(line >> slot_shift) &
                 slot_mask;
-            const int w = simd::FindWay(use_simd, tags + base, assoc,
-                                        line);
+            const int w = WayOf(tags + base, assoc, line);
             return w < 0 ? std::ptrdiff_t{-1}
                          : static_cast<std::ptrdiff_t>(
                                base + static_cast<unsigned>(w));
@@ -351,10 +360,9 @@ Cache::AccessLine(Address line_addr, AccessType type)
 
     int way;
     if (line_addr != kInvalidTag) [[likely]] {
-        // Tag-only set probe through the vector seam.  Invalid slots
-        // hold the sentinel, which cannot equal this needle; overread
-        // lanes hold the sentinel or other sets' tags (see cache.h).
-        way = simd::FindWay(use_simd_, tags, assoc, line_addr);
+        // Tag-only set probe: invalid slots hold the sentinel, which
+        // cannot equal this needle.
+        way = WayOf(tags, assoc, line_addr);
     } else {
         // One-in-2^64 scalar-path needle that aliases the sentinel
         // (a top-of-address-space access with a tiny line size): only

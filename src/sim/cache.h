@@ -11,10 +11,10 @@
  * throughput while staying counter-for-counter identical to the naive
  * probe-every-way formulation:
  *  - line metadata is structure-of-arrays: one contiguous `Address`
- *    tag plane (64-byte aligned, sentinel-padded) plus packed
- *    lru/valid/dirty planes, so a set's ways sit in consecutive tag
- *    lanes and one vector compare (AVX2/NEON via sim/simd.h) tests
- *    residency for the whole set,
+ *    tag plane (64-byte aligned, invalid slots holding a sentinel)
+ *    plus packed lru/valid/dirty planes, so a set's ways sit in
+ *    consecutive tag lanes and a tag-only scalar loop tests residency
+ *    for the whole set,
  *  - set index and line alignment are shifts/masks precomputed at
  *    construction; non-power-of-two set counts use a fixed-point
  *    reciprocal (FastDiv) instead of a hardware divide per probe,
@@ -23,13 +23,13 @@
  *    skips the set search entirely, and
  *  - batched streams enter through AccessBatch, paying one virtual
  *    dispatch per batch instead of per access, with a registerized
- *    hit-run inner loop that probes full sets through the vector seam.
+ *    hit-run inner loop that probes full sets by tag alone.
  *
  * Counter equivalence across layouts: way *positions* never influence
  * the statistics.  Hits are found by tag (any way), replacement picks
  * an invalid way or the unique minimum LRU stamp, and stamps travel
- * with their lines when ways are swapped — so scalar, vector, and
- * batched engines produce bit-identical CacheStats on any stream.
+ * with their lines when ways are swapped — so the scalar and batched
+ * engines produce bit-identical CacheStats on any stream.
  */
 
 #ifndef PIM_SIM_CACHE_H
@@ -45,7 +45,6 @@
 #include "common/fastdiv.h"
 #include "common/types.h"
 #include "sim/access.h"
-#include "sim/simd.h"
 
 namespace pim::sim {
 
@@ -172,10 +171,10 @@ class Cache final : public MemorySink
      * Invalid slots carry a sentinel tag no batched line address can
      * have: trace entries are capped at TraceEntry::kMaxAddr (40 bits),
      * so all-ones never equals a batched line address and both the
-     * batched fast path and the vector probe can test residency with
-     * the tag compare alone.  The valid plane stays authoritative for
-     * the scalar paths (which accept full 64-bit addresses — a scalar
-     * probe whose line address aliases the sentinel takes a
+     * batched fast path and the scalar set probe can test residency
+     * with the tag compare alone.  The valid plane stays authoritative
+     * for the scalar paths (which accept full 64-bit addresses — a
+     * scalar probe whose line address aliases the sentinel takes a
      * valid-checked scan) and for victim selection.
      */
     static constexpr Address kInvalidTag = ~Address{0};
@@ -209,9 +208,6 @@ class Cache final : public MemorySink
     const CacheStats &stats() const { return stats_; }
     const CacheConfig &config() const { return config_; }
     const CacheGeometry &geometry() const { return geom_; }
-
-    /** True if this instance probes sets with the vector ISA path. */
-    bool simd_probe() const { return use_simd_; }
 
     /** Zero the statistics; contents are kept. */
     void ResetStats() { stats_ = CacheStats{}; }
@@ -251,11 +247,8 @@ class Cache final : public MemorySink
     CacheGeometry geom_;
 
     // SoA line metadata, indexed by slot = set * associativity + way.
-    // The tag plane is cache-line aligned and carries kTagPlanePad
-    // sentinel lanes past the last set so whole-register vector loads
-    // never read unowned memory; overread lanes can never false-hit
-    // (they hold the sentinel or tags of other sets, and a line's tag
-    // is only ever installed in the set its address indexes).
+    // The tag plane is cache-line aligned; invalid slots hold
+    // kInvalidTag so the set probes can compare tags alone.
     AlignedVector<Address> tags_;
     std::vector<std::uint64_t> lru_; // larger == more recently used
     std::vector<std::uint8_t> valid_;
@@ -271,10 +264,6 @@ class Cache final : public MemorySink
     std::uint32_t slot_shift_ = 0;
     std::size_t slot_mask_ = 0;
     bool fast_batch_ = false;
-
-    // Construction-time snapshot of simd::Enabled(): one instance is
-    // uniformly vector or uniformly scalar for its whole lifetime.
-    bool use_simd_ = false;
 
     // One-entry coalescing filter: the slot touched by the previous
     // scalar probe.  Validity is re-checked by tag on every use (the

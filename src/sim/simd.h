@@ -1,272 +1,19 @@
 /**
  * @file
- * The vectorized set-probe seam.
- *
- * Every hot search in the simulator is the same primitive: "find the
- * slot whose 64-bit tag equals this line address" — the way search in
- * Cache (SoA tag planes, one contiguous `Address` lane per set), the
- * LRU-stack search in StackDistanceProfiler, and (in stride form) the
- * run expansion of the compact trace decoder.  This header implements
- * that primitive three ways behind one dispatch point:
- *
- *   - AVX2:   _mm256_cmpeq_epi64, four ways per compare,
- *   - NEON:   vceqq_u64, two ways per compare,
- *   - scalar: a portable loop with identical semantics.
- *
- * Selection is compile-time (the ISA the translation unit was built
- * for; `-DPIM_DISABLE_SIMD` forces scalar) combined with a runtime
- * kill-switch: `PIM_SIMD=off` in the environment — or
- * simd::SetEnabled(false) — makes every consumer take the scalar
- * path.  Consumers snapshot simd::Enabled() when they are constructed,
- * so a replay engine built after the switch flips is uniformly scalar.
- *
- * Counter exactness: both paths return the *same* answer on the same
- * input (the vector path finds the lowest matching lane, and tags are
- * unique within a set / stack), so scalar and vector replays are
- * bit-identical by construction; tests/test_cache.cc and
- * tests/test_sweep.cc enforce it on recorded kernel streams.
- *
- * FindWay overread contract: probing a set of W ways may load up to
- * kTagPlanePad lanes past `tags + W` (whole-register loads).  Tag
- * planes must therefore be padded with kTagPlanePad sentinel entries
- * after the last set (Cache does this).  Overread lanes can never
- * produce a false hit: they hold either the kInvalidTag padding or
- * tags of *other* sets, and a line's tag can only ever be installed
- * in the one set its address indexes.  Callers must not pass a
- * needle equal to the all-ones invalid sentinel (Cache routes that
- * one-in-2^64 scalar case to a valid-plane-checked loop).
+ * Exists only so perfbench can stamp `simd_isa`: every build probes
+ * sets with scalar loops.
  */
 
 #ifndef PIM_SIM_SIMD_H
 #define PIM_SIM_SIMD_H
 
-#include <bit>
-#include <cstddef>
-#include <cstdint>
-
-#include "common/types.h"
-
-#if !defined(PIM_DISABLE_SIMD) && defined(__AVX2__)
-#define PIM_SIMD_AVX2 1
-#include <immintrin.h>
-#elif !defined(PIM_DISABLE_SIMD) &&                                          \
-    (defined(__ARM_NEON) || defined(__ARM_NEON__))
-#define PIM_SIMD_NEON 1
-#include <arm_neon.h>
-#endif
-
 namespace pim::sim::simd {
 
-/** Which probe implementation a path is using. */
-enum class Isa { kScalar, kAvx2, kNeon };
+enum class Isa { kScalar };
 
-/** The widest ISA this binary was compiled with. */
-constexpr Isa
-CompiledIsa()
-{
-#if defined(PIM_SIMD_AVX2)
-    return Isa::kAvx2;
-#elif defined(PIM_SIMD_NEON)
-    return Isa::kNeon;
-#else
-    return Isa::kScalar;
-#endif
-}
+constexpr Isa ActiveIsa() { return Isa::kScalar; }
 
-/**
- * Runtime kill-switch.  False when the binary is scalar-only, when
- * the environment sets PIM_SIMD=off|0|false|no (read once, lazily),
- * or after SetEnabled(false).
- */
-bool Enabled();
-
-/** Override the kill-switch (tests, benches; beats the environment). */
-void SetEnabled(bool enabled);
-
-/** The ISA probes built now will use: CompiledIsa() gated by Enabled(). */
-inline Isa
-ActiveIsa()
-{
-    return Enabled() ? CompiledIsa() : Isa::kScalar;
-}
-
-/** Human-readable ISA name ("avx2", "neon", "scalar"). */
-const char *IsaName(Isa isa);
-
-/** Sentinel tag lanes FindWay may read past the last set of a plane. */
-inline constexpr std::size_t kTagPlanePad = 4;
-
-/** Portable way search: lowest w in [0, ways) with tags[w] == needle. */
-inline int
-FindWayScalar(const Address *tags, std::uint32_t ways, Address needle)
-{
-    for (std::uint32_t w = 0; w < ways; ++w) {
-        if (tags[w] == needle) {
-            return static_cast<int>(w);
-        }
-    }
-    return -1;
-}
-
-#if defined(PIM_SIMD_AVX2)
-
-/** AVX2 way search; see the overread contract in the file comment. */
-inline int
-FindWayVector(const Address *tags, std::uint32_t ways, Address needle)
-{
-    const __m256i n =
-        _mm256_set1_epi64x(static_cast<long long>(needle));
-    for (std::uint32_t w = 0; w < ways; w += 4) {
-        const __m256i t = _mm256_loadu_si256(
-            reinterpret_cast<const __m256i *>(tags + w));
-        const unsigned m = static_cast<unsigned>(_mm256_movemask_pd(
-            _mm256_castsi256_pd(_mm256_cmpeq_epi64(t, n))));
-        if (m != 0) {
-            return static_cast<int>(
-                w + static_cast<unsigned>(std::countr_zero(m)));
-        }
-    }
-    return -1;
-}
-
-#elif defined(PIM_SIMD_NEON)
-
-/** NEON way search; see the overread contract in the file comment. */
-inline int
-FindWayVector(const Address *tags, std::uint32_t ways, Address needle)
-{
-    const uint64x2_t n = vdupq_n_u64(needle);
-    for (std::uint32_t w = 0; w < ways; w += 2) {
-        const uint64x2_t eq = vceqq_u64(vld1q_u64(tags + w), n);
-        if (vgetq_lane_u64(eq, 0) != 0) {
-            return static_cast<int>(w);
-        }
-        if (vgetq_lane_u64(eq, 1) != 0) {
-            return static_cast<int>(w + 1);
-        }
-    }
-    return -1;
-}
-
-#endif
-
-/**
- * The ProbeSet seam: search one set's tag lane for @p needle.
- * @p use_simd is the consumer's construction-time snapshot of
- * Enabled(); hoist it out of hot loops so the branch predicts.
- */
-inline int
-FindWay(bool use_simd, const Address *tags, std::uint32_t ways,
-        Address needle)
-{
-#if defined(PIM_SIMD_AVX2) || defined(PIM_SIMD_NEON)
-    if (use_simd) {
-        return FindWayVector(tags, ways, needle);
-    }
-#else
-    (void)use_simd;
-#endif
-    return FindWayScalar(tags, ways, needle);
-}
-
-/**
- * Unpadded tag scan for the profiler's LRU stacks: lowest i in [0, n)
- * with tags[i] == needle, or n.  Processes full vector chunks and
- * finishes with a scalar tail, so no padding or masking is required.
- */
-inline std::size_t
-FindTagLinear(bool use_simd, const Address *tags, std::size_t n,
-              Address needle)
-{
-    std::size_t i = 0;
-#if defined(PIM_SIMD_AVX2)
-    if (use_simd) {
-        const __m256i v =
-            _mm256_set1_epi64x(static_cast<long long>(needle));
-        for (; i + 4 <= n; i += 4) {
-            const __m256i t = _mm256_loadu_si256(
-                reinterpret_cast<const __m256i *>(tags + i));
-            const unsigned m =
-                static_cast<unsigned>(_mm256_movemask_pd(
-                    _mm256_castsi256_pd(_mm256_cmpeq_epi64(t, v))));
-            if (m != 0) {
-                return i +
-                       static_cast<unsigned>(std::countr_zero(m));
-            }
-        }
-    }
-#elif defined(PIM_SIMD_NEON)
-    if (use_simd) {
-        const uint64x2_t v = vdupq_n_u64(needle);
-        for (; i + 2 <= n; i += 2) {
-            const uint64x2_t eq = vceqq_u64(vld1q_u64(tags + i), v);
-            if (vgetq_lane_u64(eq, 0) != 0) {
-                return i;
-            }
-            if (vgetq_lane_u64(eq, 1) != 0) {
-                return i + 1;
-            }
-        }
-    }
-#else
-    (void)use_simd;
-#endif
-    for (; i < n; ++i) {
-        if (tags[i] == needle) {
-            return i;
-        }
-    }
-    return n;
-}
-
-/**
- * Stride fill for the compact-trace run decoder:
- * out[k] = start + (k+1) * step for k in [0, n), all mod 2^64.
- * Returns the last value written (start when n == 0).  The decoder
- * uses it to expand a run token into packed TraceEntry words directly
- * (the address delta propagates through the packed word unchanged
- * because every address in a valid run stays inside the 40-bit field).
- */
-inline std::uint64_t
-FillStrideWords(bool use_simd, std::uint64_t *out, std::size_t n,
-                std::uint64_t start, std::uint64_t step)
-{
-    std::size_t k = 0;
-#if defined(PIM_SIMD_AVX2)
-    if (use_simd && n >= 4) {
-        __m256i cur = _mm256_set_epi64x(
-            static_cast<long long>(start + 4 * step),
-            static_cast<long long>(start + 3 * step),
-            static_cast<long long>(start + 2 * step),
-            static_cast<long long>(start + step));
-        const __m256i inc =
-            _mm256_set1_epi64x(static_cast<long long>(4 * step));
-        for (; k + 4 <= n; k += 4) {
-            _mm256_storeu_si256(reinterpret_cast<__m256i *>(out + k),
-                                cur);
-            cur = _mm256_add_epi64(cur, inc);
-        }
-    }
-#elif defined(PIM_SIMD_NEON)
-    if (use_simd && n >= 2) {
-        uint64x2_t cur = vcombine_u64(vdup_n_u64(start + step),
-                                      vdup_n_u64(start + 2 * step));
-        const uint64x2_t inc = vdupq_n_u64(2 * step);
-        for (; k + 2 <= n; k += 2) {
-            vst1q_u64(out + k, cur);
-            cur = vaddq_u64(cur, inc);
-        }
-    }
-#else
-    (void)use_simd;
-#endif
-    std::uint64_t v = start + k * step;
-    for (; k < n; ++k) {
-        v += step;
-        out[k] = v;
-    }
-    return n == 0 ? start : out[n - 1];
-}
+constexpr const char *IsaName(Isa) { return "scalar"; }
 
 } // namespace pim::sim::simd
 

@@ -74,6 +74,18 @@ Total(const std::vector<std::uint64_t> &hist, std::uint64_t far)
     return total;
 }
 
+/** Position of @p line in a stack's tag lane, or @p depth if absent. */
+inline std::size_t
+StackDistance(const Address *tags, std::size_t depth, Address line)
+{
+    for (std::size_t i = 0; i < depth; ++i) {
+        if (tags[i] == line) {
+            return i;
+        }
+    }
+    return depth;
+}
+
 } // namespace
 
 std::uint64_t
@@ -235,7 +247,6 @@ StackDistanceProfiler::StackDistanceProfiler(StackProfilerConfig config)
     pow2_sets_ = (config_.num_sets & (config_.num_sets - 1)) == 0;
     set_mask_ = config_.num_sets - 1;
     set_div_ = FastDiv(config_.num_sets);
-    use_simd_ = simd::Enabled();
     stack_tags_.resize(config_.num_sets);
     stack_dirty_.resize(config_.num_sets);
 
@@ -318,11 +329,8 @@ StackDistanceProfiler::ProbeLine(Address line_addr, bool is_write)
     std::vector<std::uint64_t> &dirty = stack_dirty_[set];
     const std::size_t depth = tags.size();
 
-    // The distance search is the cache's vectorized tag scan over this
-    // stack's contiguous tag lane (tags are unique within a stack, so
-    // the lowest-match semantics are exact).
-    const std::size_t d =
-        simd::FindTagLinear(use_simd_, tags.data(), depth, line_addr);
+    // Tags are unique within a stack, so the first match is exact.
+    const std::size_t d = StackDistance(tags.data(), depth, line_addr);
     const bool far = d == depth;
 
     if (config_.model_prefetcher) [[unlikely]] {

@@ -103,7 +103,6 @@
 #include "sim/access.h"
 #include "sim/cache.h"
 #include "sim/dram.h"
-#include "sim/simd.h"
 
 namespace pim::sim {
 
@@ -357,15 +356,14 @@ class StackDistanceProfiler final : public MemorySink
     std::size_t set_mask_ = 0;
     bool pow2_sets_ = false;
     FastDiv set_div_;
-    bool use_simd_ = false;
 
     std::uint64_t full_dirty_mask_ = 0;
 
     /**
      * Per-set LRU stacks in structure-of-arrays form, most recently
      * used at index 0.  The tag lane of each stack is contiguous (and
-     * aligned) so the distance search is the same vectorized tag scan
-     * the cache's set probe uses; stack_dirty_ is the parallel lane of
+     * aligned) so the distance search is the same tag-only scan the
+     * cache's set probe uses; stack_dirty_ is the parallel lane of
      * per-tracked-assoc dirty bitmasks: bit j set <=> the line is
      * resident *and* dirty in the tracked_[j]-way cache.  Bit j is
      * cleared (with a writeback counted) when the entry sinks past

@@ -13,7 +13,6 @@
 
 #include "common/digest.h"
 #include "common/logging.h"
-#include "sim/simd.h"
 
 namespace pim::sim {
 
@@ -61,6 +60,22 @@ UnZigzag(std::uint64_t v)
     return static_cast<std::int64_t>((v >> 1) ^ (~(v & 1) + 1));
 }
 
+/**
+ * Expand a run token: out[k].word = word + (k+1) * step for k in
+ * [0, n), all mod 2^64.  The address delta propagates through the
+ * packed word unchanged because every address in a valid run stays
+ * inside the 40-bit field.
+ */
+inline void
+ExpandRun(TraceEntry *out, std::size_t n, std::uint64_t word,
+          std::uint64_t step)
+{
+    for (std::size_t k = 0; k < n; ++k) {
+        word += step;
+        out[k].word = word;
+    }
+}
+
 } // namespace
 
 std::size_t
@@ -71,7 +86,6 @@ CompactTrace::DecodeBlock(std::size_t b, TraceEntry *out) const
     const std::size_t n = blocks_[b].count;
 
     CompactTraceEncoder::Context ctx[2];
-    const bool use_simd = simd::Enabled();
     std::size_t i = 0;
     while (i < n) {
         const std::uint8_t header = *p++;
@@ -102,9 +116,7 @@ CompactTrace::DecodeBlock(std::size_t b, TraceEntry *out) const
                 (static_cast<std::uint64_t>(c.last_bytes)
                  << TraceEntry::kAddrBits) |
                 (static_cast<std::uint64_t>(t) << 63);
-            simd::FillStrideWords(
-                use_simd, reinterpret_cast<std::uint64_t *>(out + i),
-                len, base_word, delta);
+            ExpandRun(out + i, len, base_word, delta);
             c.last_addr = final_addr;
             i += len;
             continue;
@@ -368,7 +380,6 @@ DecodeBlockBounded(const std::uint8_t *p, const std::uint8_t *end,
         Bytes last_bytes = 0;
     };
     Context ctx[2];
-    const bool use_simd = simd::Enabled();
     std::size_t i = 0;
     while (i < n) {
         if (p >= end) {
@@ -405,9 +416,7 @@ DecodeBlockBounded(const std::uint8_t *p, const std::uint8_t *end,
                 (static_cast<std::uint64_t>(c.last_bytes)
                  << TraceEntry::kAddrBits) |
                 (static_cast<std::uint64_t>(t) << 63);
-            simd::FillStrideWords(
-                use_simd, reinterpret_cast<std::uint64_t *>(out + i),
-                len, base_word, delta);
+            ExpandRun(out + i, len, base_word, delta);
             c.last_addr = final_addr;
             i += len;
             continue;

@@ -22,10 +22,10 @@
  *    materializing the 8-byte form of the whole trace) and blocks can
  *    be decoded independently (the sharded replay partitioner decodes
  *    them in parallel);
- *  - run tokens decode through a vectorized stride expander
- *    (sim/simd.h): within a run the packed word advances by a constant
- *    delta, so whole blocks materialize into the aligned staging
- *    buffer with SIMD stores instead of a per-entry pack loop.
+ *  - run tokens decode through a stride expander: within a run the
+ *    packed word advances by a constant delta, so a run materializes
+ *    into the aligned staging buffer with one add and one store per
+ *    entry instead of a per-entry pack loop.
  *
  * Decoded output is bit-exact: CompactTrace::ReplayInto feeds the same
  * TraceEntry batches to MemorySink::AccessBatch that the raw trace

@@ -6,8 +6,8 @@
  * purpose so that it shares no mechanism with sim::Cache: an
  * array-of-structs line table, divide/modulo set indexing, a full
  * scan of the set on every probe, LRU by a global access tick, and one
- * Access per line with no batching, coalescing filter, vector probe or
- * way reordering.  It models the default write-back, write-allocate
+ * Access per line with no batching, coalescing filter, tag-only probe
+ * or way reordering.  It models the default write-back, write-allocate
  * policy only.
  *
  * OracleHierarchy composes it the way MemoryHierarchy composes

@@ -1,9 +1,8 @@
 /**
  * @file
  * Fixtures shared by the replay-engine tests: a seeded random stream,
- * the recorded kernel streams every engine must reproduce, a gtest
- * printer for hierarchy parameters, and a scope guard for the SIMD
- * kill-switch.
+ * the recorded kernel streams every engine must reproduce, and a gtest
+ * printer for hierarchy parameters.
  */
 
 #ifndef PIM_TESTS_REPLAY_FIXTURES_H
@@ -17,7 +16,6 @@
 
 #include "core/execution_context.h"
 #include "sim/hierarchy.h"
-#include "sim/simd.h"
 #include "sim/trace.h"
 
 namespace pim::sim {
@@ -48,20 +46,6 @@ std::vector<std::pair<const char *, AccessTrace>> KernelTraces();
  * change from build to build.
  */
 void PrintTo(const HierarchyConfig &config, std::ostream *os);
-
-/** Forces the SIMD kill-switch for one scope, restoring it on exit. */
-class SimdGuard
-{
-  public:
-    explicit SimdGuard(bool on) : prev_(simd::Enabled())
-    {
-        simd::SetEnabled(on);
-    }
-    ~SimdGuard() { simd::SetEnabled(prev_); }
-
-  private:
-    bool prev_;
-};
 
 } // namespace pim::sim
 

@@ -9,12 +9,11 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "oracle.h"
 #include "sim/cache.h"
 #include "sim/dram.h"
 #include "sim/hierarchy.h"
-#include "sim/simd.h"
 #include "sim/trace.h"
-#include "replay_fixtures.h"
 
 namespace pim::sim {
 namespace {
@@ -353,38 +352,34 @@ TEST(Cache, BatchedEntriesAdjacentToMaxAddrMatchScalar)
     EXPECT_GT(batched.stats().Hits(), 0u);
 }
 
-// ---- SIMD/scalar probe equivalence --------------------------------
+// ---- Deep-way and batch-warmed probes ----------------------------
 
-TEST(Cache, DeepWayHitsFoundByBothProbes)
+TEST(Cache, DeepWayHitsFound)
 {
     // One 8-way set: re-touching all 8 residents must hit at every way
-    // position — including the lanes a second vector iteration covers.
-    for (const bool simd_on : {false, true}) {
-        SimdGuard guard(simd_on);
-        DramCounter dram(Lpddr3Config());
-        Cache cache(CacheConfig{"one-set", 512, 8, 64}, dram);
-        for (Address way = 0; way < 8; ++way) {
-            cache.Access(way * 64, 4, AccessType::kRead);
-        }
-        EXPECT_EQ(cache.stats().read_misses, 8u);
-        for (Address way = 8; way-- > 0;) {
-            cache.Access(way * 64, 4, AccessType::kRead);
-        }
-        EXPECT_EQ(cache.stats().read_hits, 8u)
-            << "simd=" << simd_on;
+    // position.
+    DramCounter dram(Lpddr3Config());
+    Cache cache(CacheConfig{"one-set", 512, 8, 64}, dram);
+    for (Address way = 0; way < 8; ++way) {
+        cache.Access(way * 64, 4, AccessType::kRead);
     }
+    EXPECT_EQ(cache.stats().read_misses, 8u);
+    for (Address way = 8; way-- > 0;) {
+        cache.Access(way * 64, 4, AccessType::kRead);
+    }
+    EXPECT_EQ(cache.stats().read_hits, 8u);
 }
 
-/** Random mixed-size streams across geometries, vector vs scalar. */
-class SimdEquivalenceTest
+/** Random mixed-size streams across geometries against the oracle. */
+class BatchWarmedCacheTest
     : public ::testing::TestWithParam<std::tuple<Bytes, std::uint32_t>>
 {
 };
 
-TEST_P(SimdEquivalenceTest, VectorAndScalarProbeCountersBitIdentical)
+TEST_P(BatchWarmedCacheTest, ScalarRepassMatchesOracle)
 {
     const auto [size, assoc] = GetParam();
-    const CacheConfig config{"simd-eq", size, assoc, 64};
+    const CacheConfig config{"batch-warm", size, assoc, 64};
 
     // Conflict-heavy stream confined to a working set a few times the
     // cache, with spans, writes, and repeats so hits land at deep ways.
@@ -400,36 +395,41 @@ TEST_P(SimdEquivalenceTest, VectorAndScalarProbeCountersBitIdentical)
             bytes,
             (r & 1) != 0 ? AccessType::kWrite : AccessType::kRead);
     }
+    // Scalar re-pass over a prefix exercises the non-batched probe and
+    // the coalescing filter against batch-warmed contents.
+    constexpr std::size_t kRepass = 512;
 
-    CacheStats per_mode[2];
-    std::uint64_t dram_reads[2], dram_writes[2];
-    for (const bool simd_on : {false, true}) {
-        SimdGuard guard(simd_on);
-        DramCounter dram(Lpddr3Config());
-        Cache cache(config, dram);
-        cache.AccessBatch(entries.data(), entries.size());
-        // Scalar re-pass over a prefix exercises the non-batched probe
-        // and the coalescing filter against warm contents.
-        for (std::size_t i = 0; i < 512; ++i) {
-            cache.Access(entries[i].addr(), entries[i].bytes(),
-                         entries[i].type());
-        }
-        cache.FlushAll();
-        per_mode[simd_on ? 1 : 0] = cache.stats();
-        dram_reads[simd_on ? 1 : 0] = dram.stats().read_requests;
-        dram_writes[simd_on ? 1 : 0] = dram.stats().write_requests;
+    DramCounter dram(Lpddr3Config());
+    Cache cache(config, dram);
+    cache.AccessBatch(entries.data(), entries.size());
+    for (std::size_t i = 0; i < kRepass; ++i) {
+        cache.Access(entries[i].addr(), entries[i].bytes(),
+                     entries[i].type());
     }
-    EXPECT_EQ(per_mode[0].read_hits, per_mode[1].read_hits);
-    EXPECT_EQ(per_mode[0].read_misses, per_mode[1].read_misses);
-    EXPECT_EQ(per_mode[0].write_hits, per_mode[1].write_hits);
-    EXPECT_EQ(per_mode[0].write_misses, per_mode[1].write_misses);
-    EXPECT_EQ(per_mode[0].writebacks, per_mode[1].writebacks);
-    EXPECT_EQ(dram_reads[0], dram_reads[1]);
-    EXPECT_EQ(dram_writes[0], dram_writes[1]);
+
+    DramCounter oracle_dram(Lpddr3Config());
+    OracleCache oracle(config, oracle_dram);
+    for (const TraceEntry &e : entries) {
+        oracle.Access(e.addr(), e.bytes(), e.type());
+    }
+    for (std::size_t i = 0; i < kRepass; ++i) {
+        oracle.Access(entries[i].addr(), entries[i].bytes(),
+                      entries[i].type());
+    }
+
+    EXPECT_EQ(cache.stats().read_hits, oracle.stats().read_hits);
+    EXPECT_EQ(cache.stats().read_misses, oracle.stats().read_misses);
+    EXPECT_EQ(cache.stats().write_hits, oracle.stats().write_hits);
+    EXPECT_EQ(cache.stats().write_misses, oracle.stats().write_misses);
+    EXPECT_EQ(cache.stats().writebacks, oracle.stats().writebacks);
+    EXPECT_EQ(dram.stats().read_requests,
+              oracle_dram.stats().read_requests);
+    EXPECT_EQ(dram.stats().write_requests,
+              oracle_dram.stats().write_requests);
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    Geometries, SimdEquivalenceTest,
+    Geometries, BatchWarmedCacheTest,
     ::testing::Values(std::make_tuple(Bytes{1_KiB}, 1u),
                       std::make_tuple(Bytes{4_KiB}, 2u),
                       std::make_tuple(Bytes{8_KiB}, 4u),
@@ -437,21 +437,6 @@ INSTANTIATE_TEST_SUITE_P(
                       std::make_tuple(Bytes{64_KiB}, 16u),
                       // Non-pow2 sets: FastDiv + scalar batch path.
                       std::make_tuple(Bytes{768 * 64 * 2}, 2u)));
-
-TEST(Cache, SimdSnapshotTakenAtConstruction)
-{
-    // An instance keeps the probe flavor it was built with; flipping
-    // the kill-switch afterwards must not affect it.
-    SimdGuard guard(true);
-    DramCounter dram(Lpddr3Config());
-    Cache cache(SmallCache(), dram);
-    const bool built_with = cache.simd_probe();
-    simd::SetEnabled(false);
-    EXPECT_EQ(cache.simd_probe(), built_with);
-    cache.Access(0x1000, 4, AccessType::kRead);
-    cache.Access(0x1000, 4, AccessType::kRead);
-    EXPECT_EQ(cache.stats().read_hits, 1u);
-}
 
 TEST(Dram, ConfigsAreOrdered)
 {

@@ -19,7 +19,6 @@
 #include "common/fastdiv.h"
 #include "common/logging.h"
 #include "common/rng.h"
-#include "common/stats.h"
 #include "common/table.h"
 #include "common/types.h"
 
@@ -110,50 +109,6 @@ TEST(Rng, ChanceRoughlyCalibrated)
         hits += rng.Chance(0.25) ? 1 : 0;
     }
     EXPECT_NEAR(static_cast<double>(hits) / trials, 0.25, 0.03);
-}
-
-TEST(Counter, AddAndReset)
-{
-    Counter c;
-    EXPECT_EQ(c.value(), 0u);
-    c.Add();
-    c.Add(9);
-    EXPECT_EQ(c.value(), 10u);
-    c.Reset();
-    EXPECT_EQ(c.value(), 0u);
-}
-
-TEST(Histogram, BinsAndClamping)
-{
-    Histogram h(4, 10.0); // [0,10) [10,20) [20,30) [30,..]
-    h.Sample(0.0);
-    h.Sample(9.9);
-    h.Sample(15.0);
-    h.Sample(100.0); // clamps into last bin
-    h.Sample(-5.0);  // clamps to 0
-    EXPECT_EQ(h.total(), 5u);
-    EXPECT_EQ(h.count(0), 3u);
-    EXPECT_EQ(h.count(1), 1u);
-    EXPECT_EQ(h.count(2), 0u);
-    EXPECT_EQ(h.count(3), 1u);
-}
-
-TEST(Histogram, MeanUsesBinCenters)
-{
-    Histogram h(10, 1.0);
-    h.Sample(2.1); // bin 2, center 2.5
-    h.Sample(2.4);
-    EXPECT_DOUBLE_EQ(h.Mean(), 2.5);
-}
-
-TEST(StatGroup, SetAccumulateGet)
-{
-    StatGroup g;
-    g.Set("x", 1.5);
-    g.Accumulate("x", 2.5);
-    EXPECT_DOUBLE_EQ(g.Get("x"), 4.0);
-    EXPECT_TRUE(g.Has("x"));
-    EXPECT_FALSE(g.Has("y"));
 }
 
 TEST(Table, TextOutputHasHeaderAndRows)
@@ -375,14 +330,14 @@ TEST(Env, SwitchAcceptsDocumentedSpellingsSilently)
 {
     WarnCapture warns;
     for (const char *v : {"on", "1", "true", "yes"}) {
-        EXPECT_TRUE(ParseSwitchValue("PIM_SIMD", v, false)) << v;
+        EXPECT_TRUE(ParseSwitchValue("PIM_SHARD_PASS", v, false)) << v;
     }
     for (const char *v : {"off", "0", "false", "no"}) {
-        EXPECT_FALSE(ParseSwitchValue("PIM_SIMD", v, true)) << v;
+        EXPECT_FALSE(ParseSwitchValue("PIM_SHARD_PASS", v, true)) << v;
     }
     // Unset (nullptr or empty) means "use the default", silently.
-    EXPECT_TRUE(ParseSwitchValue("PIM_SIMD", nullptr, true));
-    EXPECT_FALSE(ParseSwitchValue("PIM_SIMD", "", false));
+    EXPECT_TRUE(ParseSwitchValue("PIM_SHARD_PASS", nullptr, true));
+    EXPECT_FALSE(ParseSwitchValue("PIM_SHARD_PASS", "", false));
     EXPECT_TRUE(warns.messages().empty());
 }
 
@@ -390,11 +345,11 @@ TEST(Env, MalformedSwitchWarnsWithValueAndFallback)
 {
     WarnCapture warns;
     // The regression this pins: "ON" (wrong case) used to silently
-    // disable SIMD.  Now it keeps the fallback and says so.
-    EXPECT_TRUE(ParseSwitchValue("PIM_SIMD", "ON", true));
+    // disable the switch.  Now it keeps the fallback and says so.
+    EXPECT_TRUE(ParseSwitchValue("PIM_SHARD_PASS", "ON", true));
     ASSERT_EQ(warns.messages().size(), 1u);
     const std::string &msg = warns.messages()[0];
-    EXPECT_NE(msg.find("PIM_SIMD"), std::string::npos) << msg;
+    EXPECT_NE(msg.find("PIM_SHARD_PASS"), std::string::npos) << msg;
     EXPECT_NE(msg.find("'ON'"), std::string::npos) << msg;
     EXPECT_NE(msg.find("keeping enabled"), std::string::npos) << msg;
 

@@ -13,7 +13,6 @@
 #include "core/execution_context.h"
 #include "core/offload_runtime.h"
 #include "core/pim_target.h"
-#include "core/vault.h"
 
 namespace pim::core {
 namespace {
@@ -257,17 +256,6 @@ TEST(OffloadRuntime, PimRunPaysCoherence)
                                });
     EXPECT_GT(r.overhead_ns, 0.0);
     EXPECT_GT(r.energy.interconnect, 0.0);
-}
-
-TEST(Vault, ResourcesDivideEvenly)
-{
-    StackedMemory stack;
-    EXPECT_EQ(stack.vault_count(), 16u);
-    const Vault v = stack.vault(3);
-    EXPECT_EQ(v.capacity, 2_GiB / 16);
-    EXPECT_DOUBLE_EQ(v.internal_bandwidth_gbps, 16.0);
-    EXPECT_DOUBLE_EQ(stack.internal_bandwidth_gbps(), 256.0);
-    EXPECT_DOUBLE_EQ(stack.offchip_bandwidth_gbps(), 32.0);
 }
 
 } // namespace

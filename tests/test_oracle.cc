@@ -9,9 +9,8 @@
  * in-RAM CompactTrace, mmap-backed container file), and requires every
  * counter to equal the oracle's:
  *
- *   - Cache alone, scalar Access and batched AccessBatch, with the
- *     vector probe on and off, over power-of-two and non-power-of-two
- *     geometries;
+ *   - Cache alone, scalar Access and batched AccessBatch, over
+ *     power-of-two and non-power-of-two geometries;
  *   - MemoryHierarchy for the four standard HierarchyConfigs;
  *   - SweepRunner::ReplayTrace at 1, 2 and 4 threads;
  *   - the host and PIM points of two write-back SweepRunner::ProfileStudy
@@ -261,23 +260,18 @@ TEST(OracleProperty, CacheScalarAndBatchedMatchOracle)
         for (const Input &in : inputs) {
             const PerfCounters want = OracleReplay(in.raw, one_level);
             ForEachForm(in, [&](const char *form, const TraceSource &src) {
-                for (const bool simd_on : {false, true}) {
-                    for (const bool batched : {false, true}) {
-                        const SimdGuard guard(simd_on);
-                        DramCounter dram(one_level.dram);
-                        Cache cache(geom, dram);
-                        ScalarPort scalar(cache);
-                        src.ReplayInto(batched
-                                           ? static_cast<MemorySink &>(cache)
+                for (const bool batched : {false, true}) {
+                    DramCounter dram(one_level.dram);
+                    Cache cache(geom, dram);
+                    ScalarPort scalar(cache);
+                    src.ReplayInto(batched ? static_cast<MemorySink &>(cache)
                                            : scalar);
-                        PerfCounters got;
-                        got.l1 = cache.stats();
-                        got.dram = dram.stats();
-                        EXPECT_TRUE(MatchesOracle(want, got))
-                            << geom.name << " " << in.name << " via "
-                            << form << (batched ? " batched" : " scalar")
-                            << " simd=" << simd_on;
-                    }
+                    PerfCounters got;
+                    got.l1 = cache.stats();
+                    got.dram = dram.stats();
+                    EXPECT_TRUE(MatchesOracle(want, got))
+                        << geom.name << " " << in.name << " via " << form
+                        << (batched ? " batched" : " scalar");
                 }
             });
         }
@@ -294,17 +288,13 @@ TEST(OracleProperty, HierarchiesMatchOracle)
         for (const Input &in : inputs) {
             const PerfCounters want = OracleReplay(in.raw, config);
             ForEachForm(in, [&](const char *form, const TraceSource &src) {
-                for (const bool simd_on : {false, true}) {
-                    for (const bool batched : {false, true}) {
-                        const SimdGuard guard(simd_on);
-                        MemoryHierarchy mh(config);
-                        ScalarPort scalar(mh.Top());
-                        src.ReplayInto(batched ? mh.Top() : scalar);
-                        EXPECT_TRUE(MatchesOracle(want, mh.Snapshot()))
-                            << config.name << " " << in.name << " via "
-                            << form << (batched ? " batched" : " scalar")
-                            << " simd=" << simd_on;
-                    }
+                for (const bool batched : {false, true}) {
+                    MemoryHierarchy mh(config);
+                    ScalarPort scalar(mh.Top());
+                    src.ReplayInto(batched ? mh.Top() : scalar);
+                    EXPECT_TRUE(MatchesOracle(want, mh.Snapshot()))
+                        << config.name << " " << in.name << " via " << form
+                        << (batched ? " batched" : " scalar");
                 }
             });
         }

@@ -33,7 +33,6 @@
 #include "sim/dram.h"
 #include "sim/hierarchy.h"
 #include "sim/sharded_replay.h"
-#include "sim/simd.h"
 #include "sim/stack_profiler.h"
 #include "sim/sweep.h"
 #include "sim/trace.h"
@@ -590,7 +589,7 @@ TEST(ShardedReplay, BitIdenticalOnKernelTracesAtEveryThreadCount)
         for (std::size_t c = 0; c < configs.size(); ++c) {
             const PerfCounters ref = SerialReplay(trace, configs[c]);
             const StudySpec spec = OnePointStudy(configs[c]);
-            for (const unsigned threads : {1u, 2u, 4u, 7u}) {
+            for (const unsigned threads : {1u, 2u, 4u, 7u, 8u}) {
                 const StudyResult study =
                     SweepRunner(threads).ProfileStudy(source, spec);
                 EXPECT_TRUE(SameCounters(ref, OnePointCounters(study)))
@@ -782,59 +781,6 @@ TEST(AccessTrace, RunningByteTotalsMatchScan)
     copy.Append(trace.data(), trace.size());
     EXPECT_EQ(copy.read_bytes(), reads);
     EXPECT_EQ(copy.write_bytes(), writes);
-}
-
-// ---- SIMD probe x replay engines --------------------------------
-
-TEST(SimdEquivalence, KernelTracesBitIdenticalAcrossProbeAndShards)
-{
-    // The tiler, blitter, GEMM and LZO streams must land on identical
-    // CacheStats and DramStats
-    // whether sets are probed by the vector path or the scalar path
-    // (PIM_SIMD=off), in a serial replay or a study whose L1 is
-    // sharded at 1/2/8 workers.
-    for (const auto &[name, trace] : KernelTraces()) {
-        PerfCounters ref;
-        {
-            SimdGuard guard(false);
-            ref = SerialReplay(trace, HostHierarchyConfig());
-        }
-        for (const bool simd_on : {false, true}) {
-            SimdGuard guard(simd_on);
-            EXPECT_TRUE(SameCounters(
-                ref, SerialReplay(trace, HostHierarchyConfig())))
-                << name << " serial simd=" << simd_on;
-            for (const unsigned threads : {1u, 2u, 8u}) {
-                const StudyResult study =
-                    SweepRunner(threads).ProfileStudy(
-                        AccessTraceSource(trace),
-                        OnePointStudy(HostHierarchyConfig()));
-                EXPECT_TRUE(SameCounters(ref, OnePointCounters(study)))
-                    << name << " simd=" << simd_on << " threads="
-                    << threads;
-            }
-        }
-    }
-}
-
-TEST(SimdEquivalence, CompactDecodeIdenticalAcrossProbePaths)
-{
-    // The codec's run expander has a vector path too; the decoded
-    // entry words must be byte-identical to the scalar expansion.
-    for (const auto &[name, trace] : KernelTraces()) {
-        const CompactTrace compact = CompactTrace::Encode(trace);
-        AccessTrace decoded[2];
-        for (const bool simd_on : {false, true}) {
-            SimdGuard guard(simd_on);
-            decoded[simd_on ? 1 : 0] = compact.Decode();
-        }
-        ASSERT_EQ(decoded[0].size(), decoded[1].size()) << name;
-        for (std::size_t i = 0; i < decoded[0].size(); ++i) {
-            ASSERT_EQ(decoded[0].data()[i].word,
-                      decoded[1].data()[i].word)
-                << name << " entry " << i;
-        }
-    }
 }
 
 TEST(SweepRunner, SetDefaultThreadsBeatsEnvironment)

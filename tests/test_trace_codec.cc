@@ -23,7 +23,6 @@
 #include "core/execution_context.h"
 #include "core/kernel_registry.h"
 #include "sim/hierarchy.h"
-#include "sim/simd.h"
 #include "sim/trace.h"
 #include "sim/trace_codec.h"
 #include "telemetry/span_tracer.h"
@@ -304,42 +303,49 @@ TEST(TraceCodec, EncoderResetsAfterFinish)
     EXPECT_EQ(decoded[0].addr(), 0x9000u);
 }
 
-TEST(TraceCodec, VectorizedRunExpansionMatchesScalarByteForByte)
+TEST(TraceCodec, RunExpansionRoundTripsByteForByte)
 {
-    // Run tokens decode through a strided word expander with a vector
-    // path (sim/simd.h).  Build a stream dominated by long runs of
-    // varied strides — forward, backward, zero — plus literal breaks,
-    // and require the decoded entry words to be identical with the
-    // kill-switch in both positions.
+    // Run tokens decode through a strided word expander.  Build a
+    // stream dominated by long runs of varied strides — forward,
+    // backward, zero — plus literal breaks, and require every decoded
+    // entry word to equal the word that was appended.
     CompactTraceEncoder enc;
+    AccessTrace appended;
+    const auto append = [&](Address a, Bytes bytes, AccessType type) {
+        enc.Append(a, bytes, type);
+        appended.Append(a, bytes, type);
+    };
     Address addr = 0x1000;
     for (const std::int64_t stride : {64, -64, 0, 4, 128, -4}) {
         for (int i = 0; i < 300; ++i) {
-            enc.Append(addr, 16, AccessType::kRead);
+            append(addr, 16, AccessType::kRead);
             addr += static_cast<Address>(stride);
         }
-        enc.Append(addr + 0x100000, 4, AccessType::kWrite); // break
+        append(addr + 0x100000, 4, AccessType::kWrite); // break
         addr += 0x5000;
     }
     // A run crossing a block boundary (blocks are 4096 entries).
     for (int i = 0; i < 6000; ++i) {
-        enc.Append(addr, 64, AccessType::kWrite);
+        append(addr, 64, AccessType::kWrite);
         addr += 64;
     }
     const CompactTrace compact = enc.Finish();
-
-    AccessTrace decoded[2];
-    for (const bool simd_on : {false, true}) {
-        const bool prev = simd::Enabled();
-        simd::SetEnabled(simd_on);
-        decoded[simd_on ? 1 : 0] = compact.Decode();
-        simd::SetEnabled(prev);
-    }
-    ASSERT_EQ(decoded[0].size(), decoded[1].size());
-    ASSERT_EQ(decoded[0].size(), compact.size());
-    for (std::size_t i = 0; i < decoded[0].size(); ++i) {
-        ASSERT_EQ(decoded[0].data()[i].word, decoded[1].data()[i].word)
+    ASSERT_EQ(compact.size(), appended.size());
+    const AccessTrace decoded = compact.Decode();
+    ASSERT_EQ(decoded.size(), appended.size());
+    for (std::size_t i = 0; i < decoded.size(); ++i) {
+        ASSERT_EQ(decoded.data()[i].word, appended.data()[i].word)
             << "entry " << i;
+    }
+
+    // The recorded kernel streams, whose strided loops are mostly runs.
+    for (const auto &[name, trace] : KernelTraces()) {
+        const AccessTrace kernel = CompactTrace::Encode(trace).Decode();
+        ASSERT_EQ(kernel.size(), trace.size()) << name;
+        for (std::size_t i = 0; i < kernel.size(); ++i) {
+            ASSERT_EQ(kernel.data()[i].word, trace.data()[i].word)
+                << name << " entry " << i;
+        }
     }
 }
 
