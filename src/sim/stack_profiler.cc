@@ -74,6 +74,27 @@ Total(const std::vector<std::uint64_t> &hist, std::uint64_t far)
     return total;
 }
 
+/** Slab offsets are 32-bit. */
+constexpr std::size_t kMaxArenaSlots = 0xFFFFFFFFu;
+
+/** First slab of a set in an unbounded pass, in entries. */
+constexpr std::uint32_t kFirstUnboundedSlab = 8;
+
+/** Deepest promotion that shifts entry by entry rather than by memmove. */
+constexpr std::size_t kShortShift = 16;
+
+/** hist[0] += n, growing hist exactly as a distance-0 probe would. */
+void
+AddAtTop(std::vector<std::uint64_t> &hist, std::uint64_t n)
+{
+    if (n != 0) {
+        if (hist.empty()) {
+            hist.resize(1, 0);
+        }
+        hist[0] += n;
+    }
+}
+
 /** Position of @p line in a stack's tag lane, or @p depth if absent. */
 inline std::size_t
 StackDistance(const Address *tags, std::size_t depth, Address line)
@@ -247,8 +268,20 @@ StackDistanceProfiler::StackDistanceProfiler(StackProfilerConfig config)
     pow2_sets_ = (config_.num_sets & (config_.num_sets - 1)) == 0;
     set_mask_ = config_.num_sets - 1;
     set_div_ = FastDiv(config_.num_sets);
-    stack_tags_.resize(config_.num_sets);
-    stack_dirty_.resize(config_.num_sets);
+
+    // Slabs are placed on first touch; a bounded pass reserves room
+    // for every set up front (untouched pages cost no memory), an
+    // unbounded one grows the arena as its stacks deepen.
+    slabs_.resize(config_.num_sets);
+    if (config_.max_assoc != 0) {
+        const std::size_t slots =
+            config_.num_sets * (std::size_t{config_.max_assoc} + 1);
+        PIM_ASSERT(slots <= kMaxArenaSlots,
+                   "%zu sets x %u-deep stacks overflow the slab arena",
+                   config_.num_sets, config_.max_assoc);
+        tag_arena_.reserve(slots);
+        dirty_arena_.reserve(slots);
+    }
 
     profile_.line_bytes = config_.line_bytes;
     profile_.num_sets = config_.num_sets;
@@ -305,12 +338,143 @@ void
 StackDistanceProfiler::AccessBatch(const TraceEntry *entries,
                                    std::size_t count)
 {
+    if (config_.model_prefetcher) {
+        // The layered prefetcher model must see every probe.
+        for (std::size_t i = 0; i < count; ++i) {
+            const TraceEntry e = entries[i];
+            if (e.bytes() != 0) {
+                Access(e.addr(), e.bytes(), e.type());
+            }
+        }
+        return;
+    }
+
+    // A line probe that finds its line on top of its set's stack
+    // (distance 0) changes nothing but the top entry's dirty bits, so
+    // the loop resolves it inline and counts it in registers; every
+    // other probe takes ProbeLine.  The counts are committed once, at
+    // the end: counters only add, so their order does not matter.
+    // Geometry lives in locals, because the dirty stores could alias
+    // the members.
+    const Address line_mask = line_mask_;
+    const Address line_select = TraceEntry::kMaxAddr & ~line_mask;
+    const Bytes line_bytes = config_.line_bytes;
+    const std::uint32_t line_shift = line_shift_;
+    const std::size_t set_mask = set_mask_;
+    const bool pow2_sets = pow2_sets_;
+    const FastDiv set_div = set_div_;
+    // A top-of-stack write dirties every tracked cache, unless writes
+    // do not allocate.
+    const std::uint64_t write_dirty =
+        config_.write_allocate ? full_dirty_mask_ : 0;
+
+    const SetSlab *slabs = slabs_.data();
+    const Address *tags = tag_arena_.data();
+    std::uint64_t *dirty = dirty_arena_.data();
+    std::uint64_t top_probes = 0;
+    std::uint64_t top_writes = 0;
     for (std::size_t i = 0; i < count; ++i) {
         const TraceEntry e = entries[i];
-        if (e.bytes() != 0) {
-            Access(e.addr(), e.bytes(), e.type());
+        const Bytes bytes = e.bytes();
+        if (bytes == 0) {
+            continue;
+        }
+        const std::uint64_t is_write = e.word >> 63;
+        const Address last = (e.addr() + (bytes - 1)) & ~line_mask;
+        for (Address line = e.word & line_select;; line += line_bytes) {
+            const Address line_no = line >> line_shift;
+            const SetSlab s =
+                slabs[pow2_sets
+                          ? static_cast<std::size_t>(line_no) & set_mask
+                          : static_cast<std::size_t>(
+                                set_div.Mod(line_no))];
+            if (s.depth != 0 && tags[s.offset] == line) {
+                dirty[s.offset] |= write_dirty & (0 - is_write);
+                ++top_probes;
+                top_writes += is_write;
+            } else {
+                ProbeLine(line, is_write != 0);
+                // A far insert may have moved the arenas.
+                tags = tag_arena_.data();
+                dirty = dirty_arena_.data();
+            }
+            if (line == last) {
+                break;
+            }
         }
     }
+    AddAtTop(profile_.read_hist, top_probes - top_writes);
+    AddAtTop(profile_.write_hist, top_writes);
+    profile_.probes += top_probes;
+}
+
+void
+StackDistanceProfiler::GrowSlab(SetSlab &slab)
+{
+    // Bounded slabs are placed once, at max_assoc + 1.
+    const std::size_t cap =
+        slab.capacity != 0       ? std::size_t{2} * slab.capacity
+        : config_.max_assoc != 0 ? std::size_t{config_.max_assoc} + 1
+                                 : kFirstUnboundedSlab;
+    // A slab that ends the arena grows in place; any other moves to the
+    // end, and its old slots are abandoned until the arena fills.
+    const auto ends_arena = [&] {
+        return slab.capacity != 0 &&
+               slab.offset + slab.capacity == tag_arena_.size();
+    };
+    if ((ends_arena() ? slab.offset : tag_arena_.size()) + cap >
+        tag_arena_.capacity()) {
+        Repack(cap);
+    }
+    const bool in_place = ends_arena();
+    const std::size_t offset = in_place ? slab.offset : tag_arena_.size();
+    tag_arena_.resize(offset + cap);
+    dirty_arena_.resize(offset + cap);
+    if (!in_place) {
+        std::copy_n(tag_arena_.data() + slab.offset, slab.depth,
+                    tag_arena_.data() + offset);
+        std::copy_n(dirty_arena_.data() + slab.offset, slab.depth,
+                    dirty_arena_.data() + offset);
+    }
+    slab.offset = static_cast<std::uint32_t>(offset);
+    slab.capacity = static_cast<std::uint32_t>(cap);
+}
+
+/**
+ * A full arena is repacked rather than copied whole: the live slabs
+ * move, in set order, into arenas with room for twice their capacity
+ * plus @p extra, and the abandoned slabs are dropped.  Only an
+ * unbounded pass gets here; a bounded one reserved every slab.
+ */
+void
+StackDistanceProfiler::Repack(std::size_t extra)
+{
+    std::size_t live = 0;
+    for (const SetSlab &s : slabs_) {
+        live += s.capacity;
+    }
+    PIM_ASSERT(live + extra <= kMaxArenaSlots,
+               "stack profiler slab arena overflow (%zu slots)",
+               live + extra);
+    std::vector<Address> tags;
+    std::vector<std::uint64_t> dirty;
+    tags.reserve(2 * (live + extra));
+    dirty.reserve(2 * (live + extra));
+    for (SetSlab &s : slabs_) {
+        if (s.capacity == 0) {
+            continue;
+        }
+        const std::size_t offset = tags.size();
+        tags.insert(tags.end(), tag_arena_.begin() + s.offset,
+                    tag_arena_.begin() + s.offset + s.depth);
+        dirty.insert(dirty.end(), dirty_arena_.begin() + s.offset,
+                     dirty_arena_.begin() + s.offset + s.depth);
+        tags.resize(offset + s.capacity);
+        dirty.resize(offset + s.capacity);
+        s.offset = static_cast<std::uint32_t>(offset);
+    }
+    tag_arena_.swap(tags);
+    dirty_arena_.swap(dirty);
 }
 
 /**
@@ -324,13 +488,12 @@ void
 StackDistanceProfiler::ProbeLine(Address line_addr, bool is_write)
 {
     ++profile_.probes;
-    const std::size_t set = SetIndex(line_addr);
-    AlignedVector<Address> &tags = stack_tags_[set];
-    std::vector<std::uint64_t> &dirty = stack_dirty_[set];
-    const std::size_t depth = tags.size();
+    SetSlab &slab = slabs_[SetIndex(line_addr)];
+    const std::size_t depth = slab.depth;
 
     // Tags are unique within a stack, so the first match is exact.
-    const std::size_t d = StackDistance(tags.data(), depth, line_addr);
+    const std::size_t d = StackDistance(tag_arena_.data() + slab.offset,
+                                        depth, line_addr);
     const bool far = d == depth;
 
     if (config_.model_prefetcher) [[unlikely]] {
@@ -386,8 +549,10 @@ StackDistanceProfiler::ProbeLine(Address line_addr, bool is_write)
         } else {
             ++profile_.read_far;
         }
-        tags.emplace_back(); // room for the shift below
-        dirty.emplace_back();
+        if (depth == slab.capacity) {
+            GrowSlab(slab); // first touch, or a full unbounded stack
+        }
+        ++slab.depth; // room for the shift below
         promoted_dirty = is_write ? full_dirty_mask_ : 0;
     } else {
         std::vector<std::uint64_t> &hist =
@@ -401,20 +566,29 @@ StackDistanceProfiler::ProbeLine(Address line_addr, bool is_write)
         // and a write refill sets them.  Caches with assoc > d hit: a
         // write marks them dirty, a read leaves them unchanged.  Both
         // cases collapse to one OR.
-        promoted_dirty = dirty[d] | (is_write ? full_dirty_mask_ : 0);
+        promoted_dirty = dirty_arena_[slab.offset + d] |
+                         (is_write ? full_dirty_mask_ : 0);
     }
 
-    // Promote: entries [0, d) sink one step — two bulk moves over the
-    // SoA lanes instead of a per-position copy loop.  Then account
-    // tracked evictions: after the shift, depth a holds the entry that
-    // just arrived there, i.e. was evicted from the a-way cache; if it
-    // was dirty in that cache (bit j), that cache wrote it back.  Only
-    // tracked boundaries <= d received a sinking entry.
+    // Promote: entries [0, d) sink one step — a copy loop over both
+    // lanes for the short shifts of a bounded pass, two bulk moves for
+    // a deep unbounded stack.  Then account tracked evictions: after
+    // the shift, depth a holds the entry that just arrived there, i.e.
+    // was evicted from the a-way cache; if it was dirty in that cache
+    // (bit j), that cache wrote it back.  Only tracked boundaries <= d
+    // received a sinking entry.
+    Address *const tags = tag_arena_.data() + slab.offset;
+    std::uint64_t *const dirty = dirty_arena_.data() + slab.offset;
     if (d > 0) {
-        std::memmove(tags.data() + 1, tags.data(),
-                     d * sizeof(Address));
-        std::memmove(dirty.data() + 1, dirty.data(),
-                     d * sizeof(std::uint64_t));
+        if (d <= kShortShift) {
+            for (std::size_t k = d; k > 0; --k) {
+                tags[k] = tags[k - 1];
+                dirty[k] = dirty[k - 1];
+            }
+        } else {
+            std::memmove(tags + 1, tags, d * sizeof(Address));
+            std::memmove(dirty + 1, dirty, d * sizeof(std::uint64_t));
+        }
         const auto &tracked = profile_.tracked;
         for (std::size_t j = 0;
              j < tracked.size() && tracked[j] <= d; ++j) {
@@ -431,9 +605,8 @@ StackDistanceProfiler::ProbeLine(Address line_addr, bool is_write)
     // entries.  The bottom one has just crossed the last boundary
     // (a == max_assoc, checked above), so its tracked bits are clear
     // and no readout up to the cap can see it again.
-    if (config_.max_assoc != 0 && tags.size() > config_.max_assoc) {
-        tags.pop_back();
-        dirty.pop_back();
+    if (config_.max_assoc != 0 && slab.depth > config_.max_assoc) {
+        --slab.depth;
     }
 }
 

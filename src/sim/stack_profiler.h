@@ -97,7 +97,6 @@
 #include <unordered_set>
 #include <vector>
 
-#include "common/aligned.h"
 #include "common/fastdiv.h"
 #include "common/types.h"
 #include "sim/access.h"
@@ -336,8 +335,27 @@ class StackDistanceProfiler final : public MemorySink
 
     const StackProfilerConfig &config() const { return config_; }
 
+    /**
+     * Stack slots the arena holds: live entries, the free tail of
+     * every slab and the slabs an unbounded pass has outgrown.  What
+     * the pass's stacks cost in memory, in entries.
+     */
+    std::size_t arena_slots() const { return tag_arena_.size(); }
+
   private:
+    /** One set's stack: a slab of the arenas. */
+    struct SetSlab
+    {
+        std::uint32_t offset = 0;   ///< First arena slot (MRU entry).
+        std::uint32_t depth = 0;    ///< Live entries.
+        std::uint32_t capacity = 0; ///< Slots; 0 until first touched.
+    };
+
     void ProbeLine(Address line_addr, bool is_write);
+    /** Give a stack a slab with room for one more entry. */
+    void GrowSlab(SetSlab &slab);
+    /** Move the live slabs into fresh arenas (unbounded passes). */
+    void Repack(std::size_t extra);
 
     std::size_t
     SetIndex(Address line_addr) const
@@ -360,20 +378,30 @@ class StackDistanceProfiler final : public MemorySink
     std::uint64_t full_dirty_mask_ = 0;
 
     /**
-     * Per-set LRU stacks in structure-of-arrays form, most recently
-     * used at index 0.  The tag lane of each stack is contiguous (and
-     * aligned) so the distance search is the same tag-only scan the
-     * cache's set probe uses; stack_dirty_ is the parallel lane of
-     * per-tracked-assoc dirty bitmasks: bit j set <=> the line is
-     * resident *and* dirty in the tracked_[j]-way cache.  Bit j is
-     * cleared (with a writeback counted) when the entry sinks past
-     * depth tracked_[j]; an entry at depth >= tracked_[j] therefore
-     * always has bit j clear.  Under a depth bound a stack holds at
-     * most max_assoc entries (max_assoc + 1 transiently, while a far
-     * insert's bottom entry crosses the last boundary).
+     * Per-set LRU stacks, most recently used first, as slabs of two
+     * arenas that share offsets: the tag lane, which the distance
+     * search scans, and the parallel lane of per-tracked-assoc dirty
+     * bitmasks (bit j set <=> the line is resident *and* dirty in the
+     * tracked_[j]-way cache).  Bit j is cleared (with a writeback
+     * counted) when the entry sinks past depth tracked_[j]; an entry
+     * at depth >= tracked_[j] therefore always has bit j clear.
+     *
+     * A set gets its slab on first touch, at the end of the arena, so
+     * a pass pays memory only for the sets it touches (a sharded pass
+     * touches one shard's sets).  A bounded pass's slab holds
+     * max_assoc + 1 entries and never grows: a stack holds at most
+     * max_assoc entries, max_assoc + 1 transiently while a far
+     * insert's bottom entry crosses the last boundary.  An unbounded
+     * pass starts a slab at 8 entries and doubles it when full, in
+     * place if it ends the arena, else by moving it to the end and
+     * abandoning the old slab; a full arena is repacked, which drops
+     * the abandoned slabs.  Those of one set sum to less than its live
+     * slab, so the arena stays under twice the live capacity, and each
+     * live slab is under twice its depth (or 8).
      */
-    std::vector<AlignedVector<Address>> stack_tags_;
-    std::vector<std::vector<std::uint64_t>> stack_dirty_;
+    std::vector<SetSlab> slabs_;
+    std::vector<Address> tag_arena_;
+    std::vector<std::uint64_t> dirty_arena_;
 
     /**
      * Stream-prefetcher runtime state (model_prefetcher only): the

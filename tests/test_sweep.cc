@@ -1440,6 +1440,159 @@ TEST(StackProfilerProperty, DepthBoundedPassMatchesUnboundedBelowCap)
     EXPECT_EQ(bounded_runs, 24 * 5);
 }
 
+/**
+ * Crafted streams for the batch-feed property: each aims at one
+ * branch of AccessBatch's top-of-stack loop.
+ */
+std::vector<std::pair<const char *, AccessTrace>>
+TopOfStackStreams()
+{
+    std::vector<std::pair<const char *, AccessTrace>> streams;
+    Rng rng(0x70B5);
+    auto type = [&](int write_pct) {
+        return static_cast<int>(rng.Range(0, 99)) < write_pct
+                   ? AccessType::kWrite
+                   : AccessType::kRead;
+    };
+
+    // Runs of probes to one line, mixing reads and writes.
+    AccessTrace runs;
+    for (int r = 0; r < 600; ++r) {
+        const Address line = 0x10000 + 64 * rng.Range(0, 47);
+        for (int n = static_cast<int>(rng.Range(1, 8)); n > 0; --n) {
+            runs.Append(line + rng.Range(0, 31),
+                        static_cast<Bytes>(rng.Range(1, 32)), type(40));
+        }
+    }
+    streams.emplace_back("same_line_runs", std::move(runs));
+
+    // Two adjacent lines taking turns: different sets unless the pass
+    // has one set, where each probe lands at distance 1.
+    AccessTrace pair;
+    for (int n = 0; n < 3000; ++n) {
+        pair.Append(0x20000 + 64 * (n % 2), 8, type(50));
+    }
+    streams.emplace_back("alternating_lines", std::move(pair));
+
+    // Spans over 2-5 lines, often repeated, so the lines of one entry
+    // mix top-of-stack hits with deeper and far probes.
+    AccessTrace spans;
+    for (int n = 0; n < 2000; ++n) {
+        const Address addr = 0x30000 + rng.Range(0, 8191);
+        const auto bytes = static_cast<Bytes>(rng.Range(65, 256));
+        const AccessType t = type(30);
+        for (int rep = static_cast<int>(rng.Range(1, 3)); rep > 0;
+             --rep) {
+            spans.Append(addr, bytes, t);
+        }
+    }
+    streams.emplace_back("multi_line_spans", std::move(spans));
+
+    // Zero-byte entries between probes of a few hot lines.
+    AccessTrace zeros;
+    for (int n = 0; n < 3000; ++n) {
+        const Address addr = 0x40000 + 64 * rng.Range(0, 5);
+        zeros.Append(addr, rng.Range(0, 2) == 0 ? 0 : 16, type(40));
+    }
+    streams.emplace_back("zero_byte_entries", std::move(zeros));
+    return streams;
+}
+
+/**
+ * AccessBatch in random batch sizes against Access one entry at a
+ * time: every StackProfile field is equal.  AccessBatch resolves
+ * top-of-stack probes in its own loop (dirty OR, read/write split,
+ * deferred histogram commit); Access sends every probe through the
+ * per-probe path.  Configurations cover both write policies, bounded
+ * (cap 1 included) and unbounded passes, several tracked lists, and
+ * the prefetcher model.
+ */
+TEST(StackProfilerProperty, BatchFeedMatchesPerEntryFeed)
+{
+    std::vector<std::pair<const char *, AccessTrace>> streams =
+        KernelTraces();
+    for (auto &stream : TopOfStackStreams()) {
+        streams.push_back(std::move(stream));
+    }
+    const std::size_t set_choices[] = {1, 4, 7, 64};
+    const std::vector<std::uint32_t> tracked_choices[] = {
+        {}, {1}, {1, 2, 4}, {3, 5}};
+    Rng rng(0xBA7C);
+    int passes = 0;
+    for (const auto &[name, trace] : streams) {
+        int c = 0;
+        for (const bool allocate : {true, false}) {
+            for (const bool prefetch : {false, true}) {
+                for (const std::uint32_t cap : {0u, 1u, 5u}) {
+                    StackProfilerConfig cfg;
+                    cfg.line_bytes = c % 2 == 0 ? 64 : 32;
+                    cfg.num_sets = set_choices[c % 4];
+                    cfg.write_allocate = allocate;
+                    cfg.model_prefetcher = prefetch;
+                    cfg.max_assoc = cap;
+                    cfg.tracked_assocs = tracked_choices[c % 4];
+                    std::erase_if(cfg.tracked_assocs, [&](std::uint32_t a) {
+                        return cap != 0 && a > cap;
+                    });
+                    ++c;
+
+                    StackDistanceProfiler per_entry(cfg);
+                    for (std::size_t i = 0; i < trace.size(); ++i) {
+                        per_entry.Access(trace[i].addr(), trace[i].bytes(),
+                                         trace[i].type());
+                    }
+                    StackDistanceProfiler batched(cfg);
+                    for (std::size_t i = 0; i < trace.size();) {
+                        const std::size_t n = std::min<std::size_t>(
+                            trace.size() - i,
+                            static_cast<std::size_t>(rng.Range(1, 4096)));
+                        batched.AccessBatch(&trace[i], n);
+                        i += n;
+                    }
+                    EXPECT_TRUE(
+                        SameProfile(batched.profile(), per_entry.profile()))
+                        << name << " sets=" << cfg.num_sets
+                        << " line=" << cfg.line_bytes << " cap=" << cap
+                        << (allocate ? " alloc" : " noalloc")
+                        << (prefetch ? " prefetch" : "")
+                        << " tracked=" << cfg.tracked_assocs.size();
+                    ++passes;
+                }
+            }
+        }
+    }
+    EXPECT_EQ(passes, 8 * 12);
+}
+
+/**
+ * One set of an unbounded pass holds 20,000 lines: the second sweep
+ * finds every line at distance 19,999, and the set's growing slab
+ * keeps the arena within twice the live entries plus one first slab.
+ */
+TEST(StackProfiler, UnboundedDeepSetStaysWithinTwiceItsDepth)
+{
+    StackProfilerConfig cfg;
+    cfg.line_bytes = 64;
+    cfg.num_sets = 4096;
+    cfg.tracked_assocs = {1, 8};
+    constexpr std::size_t kLines = 20000;
+    const Address stride = cfg.num_sets * cfg.line_bytes;
+    AccessTrace sweep;
+    for (std::size_t i = 0; i < kLines; ++i) {
+        sweep.Append(i * stride, 8, AccessType::kRead);
+    }
+    StackDistanceProfiler prof(cfg);
+    sweep.ReplayInto(prof);
+    sweep.ReplayInto(prof);
+
+    EXPECT_EQ(prof.probes(), 2 * kLines);
+    EXPECT_EQ(prof.far_reads(), kLines);
+    ASSERT_EQ(prof.read_histogram().size(), kLines);
+    EXPECT_EQ(prof.read_histogram()[kLines - 1], kLines);
+    EXPECT_EQ(HistFrom(prof.read_histogram(), 0), kLines);
+    EXPECT_LE(prof.arena_slots(), 2 * kLines + 8);
+}
+
 TEST(StackProfileMerge, EmptyIsIdentityInBothDirections)
 {
     StackProfilerConfig cfg;
