@@ -14,7 +14,8 @@
  *   pim_run --corpus=/var/cache/pim-corpus --kernel=browser
  *
  * `--sweep=llc` records each matched trace-replayable kernel's access
- * stream ONCE (KernelSession::Record) and derives the whole LLC
+ * stream ONCE (KernelSession::Record, or RecordCompact for the
+ * --compact-trace and --corpus forms) and derives the whole LLC
  * capacity ladder from that single recording via a one-L1
  * stack-distance study (SweepRunner::ProfileStudy) — no per-point
  * re-execution, with counters bit-identical to a cold replay per point
@@ -326,6 +327,60 @@ MapCorpusTrace(serve::CorpusCache &corpus, const core::KernelSpec &spec,
 }
 
 /**
+ * One kernel's recording in the form the sweep flags ask for: the
+ * mapped corpus entry (--corpus), the compact encoding
+ * (--compact-trace, or --corpus on disk trouble), or the raw
+ * 8-byte-per-entry stream.
+ */
+struct SweepTrace
+{
+    std::optional<sim::MappedCompactTrace> mapped;
+    std::optional<sim::CompactTrace> compact;
+    sim::AccessTrace raw;
+
+    sim::StudyResult
+    Study(const sim::SweepRunner &runner, const sim::StudySpec &grid) const
+    {
+        if (mapped) {
+            return runner.ProfileStudy(*mapped, grid);
+        }
+        if (compact) {
+            return runner.ProfileStudy(sim::CompactTraceSource(*compact),
+                                       grid);
+        }
+        return runner.ProfileStudy(sim::AccessTraceSource(raw), grid);
+    }
+};
+
+/**
+ * Record (or map) @p spec once for a sweep.  The compact forms record
+ * straight into the encoding (KernelSession::RecordCompact): no raw
+ * stream, no host hierarchy.
+ */
+SweepTrace
+RecordSweepTrace(bool compact, serve::CorpusCache *corpus,
+                 const core::KernelSpec &spec,
+                 core::KernelSession &session)
+{
+    SweepTrace trace;
+    if (corpus != nullptr) {
+        // Out-of-core: the study streams blocks from the mapped
+        // container (recording it first on a miss), so the resident
+        // footprint is O(block buffers), not O(trace).
+        trace.mapped = MapCorpusTrace(*corpus, spec, session);
+    }
+    if (trace.mapped) {
+        return trace;
+    }
+    if (compact || corpus != nullptr) {
+        trace.compact = session.RecordCompact(spec).trace;
+    } else {
+        trace.raw = session.Record(spec).trace;
+    }
+    return trace;
+}
+
+/**
  * `--corpus=DIR` record mode: stream each matched trace-replayable
  * kernel into a digest-named container file under DIR, stamping the
  * manifest with recorder/created provenance.  Idempotent — entries
@@ -449,52 +504,24 @@ EmitLlcSweep(bench::BenchOutput &out, bool compact,
             continue;
         }
         out.Section("sweep." + spec->Slug(), [&] {
-            sim::StudyResult study;
-            if (corpus != nullptr) {
-                // Replay out-of-core from the memory-mapped corpus
-                // entry (recording it first on a miss): resident sweep
-                // footprint is O(block buffers), not O(trace).
-                auto mapped = MapCorpusTrace(*corpus, *spec, session);
-                if (mapped) {
-                    out.Metric("pim_run.sweep." + spec->Slug() +
-                                   ".corpus_bytes_mapped",
-                               static_cast<double>(mapped->SizeBytes()));
-                    study = runner.ProfileStudy(*mapped, llc_study);
-                } else {
-                    // Disk trouble: fall back to an in-RAM recording.
-                    const core::RecordedCompactKernel rec =
-                        session.RecordCompact(*spec);
-                    study = runner.ProfileStudy(
-                        sim::CompactTraceSource(rec.trace), llc_study);
-                }
-                EmitLlcTable(out, *spec, ladder, study);
-                return;
+            // ONE recording; every ladder point is derived from the
+            // recorded stream analytically.
+            const std::string tp = "pim_run.sweep." + spec->Slug() + ".";
+            const SweepTrace trace =
+                RecordSweepTrace(compact, corpus, *spec, session);
+            if (trace.mapped) {
+                out.Metric(tp + "corpus_bytes_mapped",
+                           static_cast<double>(trace.mapped->SizeBytes()));
+            } else if (trace.compact && corpus == nullptr) {
+                out.Metric(tp + "trace_bytes",
+                           static_cast<double>(trace.compact->RawBytes()));
+                out.Metric(tp + "trace_compact_bytes",
+                           static_cast<double>(trace.compact->SizeBytes()));
+                out.Metric(tp + "trace_compression_ratio",
+                           trace.compact->CompressionRatio());
             }
-            // ONE native recording pass; every ladder point is derived
-            // from the recorded stream analytically.
-            core::RecordedKernel rec = session.Record(*spec);
-            if (compact) {
-                // Encode the recording, drop the raw form, and profile
-                // from the encoded stream: the sweep's resident trace
-                // footprint is the compact size, counters unchanged.
-                const std::string tp =
-                    "pim_run.sweep." + spec->Slug() + ".trace_";
-                const sim::CompactTrace encoded =
-                    sim::CompactTrace::Encode(rec.trace);
-                out.Metric(tp + "bytes",
-                           static_cast<double>(rec.trace.SizeBytes()));
-                out.Metric(tp + "compact_bytes",
-                           static_cast<double>(encoded.SizeBytes()));
-                out.Metric(tp + "compression_ratio",
-                           encoded.CompressionRatio());
-                rec.trace = sim::AccessTrace{};
-                study = runner.ProfileStudy(
-                    sim::CompactTraceSource(encoded), llc_study);
-            } else {
-                study = runner.ProfileStudy(
-                    sim::AccessTraceSource(rec.trace), llc_study);
-            }
-            EmitLlcTable(out, *spec, ladder, study);
+            EmitLlcTable(out, *spec, ladder,
+                         trace.Study(runner, llc_study));
         });
     }
 }
@@ -561,35 +588,16 @@ EmitStudySweep(bench::BenchOutput &out, bool compact,
         }
         out.Section("study." + spec->Slug(), [&] {
             const std::string prefix = "pim_run.study." + spec->Slug();
-            sim::StudyResult study;
-            if (corpus != nullptr) {
-                // Out-of-core: the study's two profiling passes stream
-                // blocks from the mapped container file.
-                auto mapped = MapCorpusTrace(*corpus, *spec, session);
-                if (mapped) {
-                    out.Metric(prefix + ".corpus_bytes_mapped",
-                               static_cast<double>(mapped->SizeBytes()));
-                    study = runner.ProfileStudy(*mapped, grid);
-                } else {
-                    const core::RecordedCompactKernel rec =
-                        session.RecordCompact(*spec);
-                    study = runner.ProfileStudy(
-                        sim::CompactTraceSource(rec.trace), grid);
-                }
-            } else if (compact) {
-                core::RecordedKernel rec = session.Record(*spec);
-                const sim::CompactTrace encoded =
-                    sim::CompactTrace::Encode(rec.trace);
+            const SweepTrace trace =
+                RecordSweepTrace(compact, corpus, *spec, session);
+            if (trace.mapped) {
+                out.Metric(prefix + ".corpus_bytes_mapped",
+                           static_cast<double>(trace.mapped->SizeBytes()));
+            } else if (trace.compact && corpus == nullptr) {
                 out.Metric(prefix + ".trace_compact_bytes",
-                           static_cast<double>(encoded.SizeBytes()));
-                rec.trace = sim::AccessTrace{};
-                study = runner.ProfileStudy(
-                    sim::CompactTraceSource(encoded), grid);
-            } else {
-                const core::RecordedKernel rec = session.Record(*spec);
-                study = runner.ProfileStudy(
-                    sim::AccessTraceSource(rec.trace), grid);
+                           static_cast<double>(trace.compact->SizeBytes()));
             }
+            const sim::StudyResult study = trace.Study(runner, grid);
 
             Table table(spec->name +
                         " — one-pass design study (host grid + PIM)");

@@ -2,8 +2,10 @@
  * @file
  * Environment-variable parsing with loud fallbacks.
  *
- * The runtime kill-switch (PIM_SHARD_PASS) and the worker-count
- * override (PIM_SWEEP_THREADS) are read from the environment.  A typo
+ * The sharded-pass switch (PIM_SHARD_PASS, read by PlanForPass in
+ * sim/sharded_replay.cc: off runs every profiling pass as one shard)
+ * and the worker-count override (PIM_SWEEP_THREADS) are read from the
+ * environment.  A typo
  * there used to fall through silently to the default — the worst
  * failure mode for a measurement tool, because the run *works* but
  * measures the wrong configuration.  These helpers accept the

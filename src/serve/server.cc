@@ -1,6 +1,7 @@
 #include "serve/server.h"
 
 #include <algorithm>
+#include <cmath>
 #include <csignal>
 #include <exception>
 #include <utility>
@@ -11,12 +12,10 @@
 #include <unistd.h>
 
 #include "common/digest.h"
-#include "common/env.h"
 #include "common/logging.h"
 #include "core/kernel_registry.h"
 #include "serve/protocol.h"
 #include "sim/hierarchy.h"
-#include "sim/sharded_replay.h"
 #include "sim/sweep.h"
 #include "telemetry/report_json.h"
 #include "workloads/catalog.h"
@@ -332,9 +331,9 @@ PimServer::HandleSubmit(int fd, const JsonValue &req)
     double scale = 1.0;
     if (const JsonValue *s = req.Find("scale"); s != nullptr) {
         scale = s->AsNumber();
-        if (!(scale > 0.0)) {
+        if (!std::isfinite(scale) || !(scale > 0.0)) {
             WriteFrame(fd, MakeError("bad_request",
-                                     "scale must be positive"));
+                                     "scale must be finite and positive"));
             return;
         }
     }
@@ -354,19 +353,25 @@ PimServer::HandleSubmit(int fd, const JsonValue &req)
             const Bytes gran =
                 host.llc->associativity * host.llc->line_bytes;
             for (std::size_t i = 0; i < ladder->size(); ++i) {
-                const double kib = ladder->at(i).AsNumber();
-                const Bytes size = static_cast<Bytes>(kib) * 1024;
-                if (!(kib > 0) || size % gran != 0) {
+                // Checked as a double before any conversion: a
+                // fraction, a negative or an infinity must not reach
+                // the integer cast.  2^53 bytes keeps the size exact.
+                const double bytes = ladder->at(i).AsNumber() * 1024;
+                if (!(bytes >= static_cast<double>(gran)) ||
+                    !(bytes <= 0x1p53) ||
+                    std::fmod(bytes, static_cast<double>(gran)) != 0) {
                     WriteFrame(
                         fd,
                         MakeError("bad_point",
                                   "llc_kib entries must be positive "
                                   "multiples of " +
-                                      std::to_string(gran / 1024) +
+                                      JsonValue::NumberToString(
+                                          static_cast<double>(gran) /
+                                          1024) +
                                       " KiB"));
                     return;
                 }
-                sizes.push_back(size);
+                sizes.push_back(static_cast<Bytes>(bytes));
             }
         } else {
             sizes = DefaultLadder();
@@ -602,7 +607,6 @@ PimServer::AcquireTrace(const Job &job, std::string *source)
             trace = handle;
             traces_.emplace(key, trace);
         }
-        trace_sources_[key] = *source;
     }
     return trace;
 }
@@ -782,25 +786,17 @@ PimServer::ExecuteStudyJob(Job &job)
             }
             pcfg.tracked_assocs = std::move(tracked);
         }
+        // Set-sharded when the geometry admits it (bit-identical to
+        // the one-shard pass at any shard count); the thread budget
+        // divides the pool among concurrently running jobs.
+        sim::ShardedPassResult fresh_pass =
+            sim::SweepRunner(SweepThreadBudget())
+                .ProfilePass(stream, &base.l1, {pcfg}, {});
         auto fresh = std::make_shared<StudyPassMemo>();
-        // Set-sharded pass when the geometry admits it (bit-identical
-        // to the serial replay below at any shard count); the thread
-        // budget divides the pool among concurrently running jobs.
-        const sim::ShardedReplay sharded{
-            sim::SweepRunner(SweepThreadBudget())};
-        sim::ShardedPassResult sharded_pass;
-        if (EnvSwitch("PIM_SHARD_PASS", true) &&
-            sharded.ProfilePass(stream, &base.l1, {pcfg}, {},
-                                &sharded_pass)) {
-            fresh->profile = std::move(sharded_pass.profiles[0]);
-            fresh->l1 = sharded_pass.l1;
+        fresh->profile = std::move(fresh_pass.profiles[0]);
+        fresh->l1 = fresh_pass.l1;
+        if (fresh_pass.shards > 1) {
             ++profiles_sharded_;
-        } else {
-            sim::StackDistanceProfiler prof(pcfg);
-            sim::Cache l1(base.l1, prof);
-            stream.ReplayInto(l1);
-            fresh->profile = prof.profile();
-            fresh->l1 = l1.stats();
         }
         ++replays_executed_;
         {

@@ -162,7 +162,6 @@ class PimServer
     // the digest is cached beside each trace either way.
     std::mutex trace_mu_;
     std::map<std::string, std::shared_ptr<const TraceHandle>> traces_;
-    std::map<std::string, std::string> trace_sources_;
 
     // Study pass memo (see StudyPassMemo).
     mutable std::mutex profiles_mu_;

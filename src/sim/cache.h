@@ -242,8 +242,8 @@ class Cache final : public MemorySink
     CacheConfig config_;
     MemorySink *below_;
     // Precomputed set-index geometry (shifts and masks instead of
-    // / and % on every probe); also consumed by
-    // ShardedReplay::PlanForPass.
+    // / and % on every probe); also consumed by PlanForPass
+    // (sim/sharded_replay.h).
     CacheGeometry geom_;
 
     // SoA line metadata, indexed by slot = set * associativity + way.

@@ -9,6 +9,8 @@
 #include <string>
 #include <vector>
 
+#include "common/env.h"
+#include "sim/sweep.h"
 #include "telemetry/span_tracer.h"
 
 namespace pim::sim {
@@ -70,7 +72,7 @@ PartitionEntries(const TraceEntry *entries, std::size_t count,
  * buckets are ever decoded.
  * Bucket capacity survives window to window (clear, not free).
  * Returns false if any access overflowed TraceEntry::kMaxAddr (the
- * caller reruns serially from scratch).
+ * caller reruns the pass as one shard, from scratch).
  */
 bool
 RunWindowedShardPipeline(
@@ -126,16 +128,93 @@ RunWindowedShardPipeline(
     return true;
 }
 
+/**
+ * One pass's private state: the profilers for every nested pass
+ * geometry under one fanout, optionally fed by a cold L1, beside the
+ * raw passes' profilers.  profs holds the nested passes, then the raw
+ * ones; top is where the trace (or a shard's slice of it) goes.
+ */
+struct PassState
+{
+    std::vector<std::unique_ptr<StackDistanceProfiler>> profs;
+    FanoutSink nested;
+    std::unique_ptr<Cache> l1;
+    FanoutSink top;
+
+    PassState(const CacheConfig *l1_cfg,
+              const std::vector<StackProfilerConfig> &passes,
+              const std::vector<StackProfilerConfig> &raw_passes)
+    {
+        profs.reserve(passes.size() + raw_passes.size());
+        for (const StackProfilerConfig &cfg : passes) {
+            profs.push_back(std::make_unique<StackDistanceProfiler>(cfg));
+            nested.AddSink(*profs.back());
+        }
+        if (l1_cfg != nullptr) {
+            l1 = std::make_unique<Cache>(*l1_cfg, nested);
+            top.AddSink(*l1);
+        } else if (!passes.empty()) {
+            top.AddSink(nested);
+        }
+        for (const StackProfilerConfig &cfg : raw_passes) {
+            profs.push_back(std::make_unique<StackDistanceProfiler>(cfg));
+            top.AddSink(*profs.back());
+        }
+    }
+};
+
+/**
+ * Merge the per-shard states of a finished pass: every counter is a
+ * sum over disjoint set partitions (one state is the one-shard pass).
+ */
+ShardedPassResult
+MergeShards(const std::vector<std::unique_ptr<PassState>> &state,
+            std::size_t nested_passes)
+{
+    ShardedPassResult out;
+    out.shards = static_cast<unsigned>(state.size());
+    auto merged = [&](std::size_t p) {
+        StackProfile prof = state[0]->profs[p]->profile();
+        for (std::size_t s = 1; s < state.size(); ++s) {
+            prof.Merge(state[s]->profs[p]->profile());
+        }
+        return prof;
+    };
+    const std::size_t total = state[0]->profs.size();
+    out.profiles.reserve(nested_passes);
+    for (std::size_t p = 0; p < nested_passes; ++p) {
+        out.profiles.push_back(merged(p));
+    }
+    out.raw_profiles.reserve(total - nested_passes);
+    for (std::size_t p = nested_passes; p < total; ++p) {
+        out.raw_profiles.push_back(merged(p));
+    }
+    if (state[0]->l1) {
+        out.l1 = state[0]->l1->stats();
+        for (std::size_t s = 1; s < state.size(); ++s) {
+            out.l1 += state[s]->l1->stats();
+        }
+    }
+    return out;
+}
+
 } // namespace
 
 ShardedReplayPlan
-ShardedReplay::PlanForPass(
-    const CacheConfig *l1,
-    const std::vector<StackProfilerConfig> &passes,
-    const std::vector<StackProfilerConfig> &raw_passes,
-    unsigned shard_limit)
+PlanForPass(const CacheConfig *l1,
+            const std::vector<StackProfilerConfig> &passes,
+            const std::vector<StackProfilerConfig> &raw_passes,
+            unsigned shard_limit)
 {
     ShardedReplayPlan plan;
+    // PIM_SHARD_PASS (default on): the off position is the serial-pass
+    // baseline the benchmarks compare against and the safety valve if
+    // sharding ever misbehaves in the field.  Counters are
+    // bit-identical either way.
+    if (!EnvSwitch("PIM_SHARD_PASS", true)) {
+        plan.why = "PIM_SHARD_PASS=off";
+        return plan;
+    }
     if (passes.empty() && raw_passes.empty()) {
         plan.why = "no profiling passes";
         return plan;
@@ -218,108 +297,52 @@ ShardedReplay::PlanForPass(
     return plan;
 }
 
-bool
-ShardedReplay::ProfilePass(const TraceSource &trace,
-                           const CacheConfig *l1,
-                           const std::vector<StackProfilerConfig> &passes,
-                           const std::vector<StackProfilerConfig> &raw_passes,
-                           ShardedPassResult *out) const
+ShardedPassResult
+SweepRunner::ProfilePass(const TraceSource &trace, const CacheConfig *l1,
+                         const std::vector<StackProfilerConfig> &passes,
+                         const std::vector<StackProfilerConfig> &raw_passes)
+    const
 {
-    *out = ShardedPassResult{};
     const ShardedReplayPlan plan =
-        PlanForPass(l1, passes, raw_passes, runner_.thread_count());
-    if (!plan.supported || trace.empty()) {
-        // An empty trace's serial pass is free; don't spin up shards.
-        return false;
-    }
-    PIM_TRACE_SPAN("sweep", "ShardedProfilePass");
-    const unsigned shards = plan.shards;
-
-    // Per-shard private pass state, created lazily by the worker that
-    // first replays the shard and persistent across windows: the
-    // profilers for every nested pass geometry under one fanout,
-    // optionally fed by a cold private L1 over the shard's set
-    // partition, beside the raw passes' profilers.  profs holds the
-    // nested passes, then the raw ones.
-    struct ShardState
-    {
-        std::vector<std::unique_ptr<StackDistanceProfiler>> profs;
-        FanoutSink nested;
-        std::unique_ptr<Cache> l1;
-        FanoutSink top;
-    };
-    std::vector<std::unique_ptr<ShardState>> state(shards);
-
-    const bool ok = RunWindowedShardPipeline(
-        runner_, trace, plan.block_shift, shards,
-        [&](const std::vector<TraceEntry> *buckets,
-            std::size_t chunks) {
-            runner_.ForEach(shards, [&](std::size_t s) {
-                PIM_TRACE_SPAN("sweep", "shard_pass[" +
-                                            std::to_string(s) + "]");
-                if (!state[s]) {
-                    auto st = std::make_unique<ShardState>();
-                    st->profs.reserve(passes.size() + raw_passes.size());
-                    for (const StackProfilerConfig &cfg : passes) {
-                        st->profs.push_back(
-                            std::make_unique<StackDistanceProfiler>(
-                                cfg));
-                        st->nested.AddSink(*st->profs.back());
+        PlanForPass(l1, passes, raw_passes, threads_);
+    // An empty trace is the one-shard pass too: nothing to spread.
+    if (plan.supported && !trace.empty()) {
+        PIM_TRACE_SPAN("sweep", "ShardedProfilePass");
+        const unsigned shards = plan.shards;
+        // Per-shard state, created lazily by the worker that first
+        // replays the shard and persistent across windows.
+        std::vector<std::unique_ptr<PassState>> state(shards);
+        const bool ok = RunWindowedShardPipeline(
+            *this, trace, plan.block_shift, shards,
+            [&](const std::vector<TraceEntry> *buckets,
+                std::size_t chunks) {
+                ForEach(shards, [&](std::size_t s) {
+                    PIM_TRACE_SPAN("sweep", "shard_pass[" +
+                                                std::to_string(s) + "]");
+                    if (!state[s]) {
+                        state[s] = std::make_unique<PassState>(
+                            l1, passes, raw_passes);
                     }
-                    if (l1 != nullptr) {
-                        st->l1 = std::make_unique<Cache>(*l1,
-                                                         st->nested);
-                        st->top.AddSink(*st->l1);
-                    } else {
-                        st->top.AddSink(st->nested);
+                    MemorySink &top = state[s]->top;
+                    for (std::size_t c = 0; c < chunks; ++c) {
+                        const auto &bucket = buckets[c * shards + s];
+                        if (!bucket.empty()) {
+                            top.AccessBatch(bucket.data(),
+                                            bucket.size());
+                        }
                     }
-                    for (const StackProfilerConfig &cfg : raw_passes) {
-                        st->profs.push_back(
-                            std::make_unique<StackDistanceProfiler>(
-                                cfg));
-                        st->top.AddSink(*st->profs.back());
-                    }
-                    state[s] = std::move(st);
-                }
-                MemorySink &top = state[s]->top;
-                for (std::size_t c = 0; c < chunks; ++c) {
-                    const auto &bucket = buckets[c * shards + s];
-                    if (!bucket.empty()) {
-                        top.AccessBatch(bucket.data(), bucket.size());
-                    }
-                }
+                });
             });
-        });
-    if (!ok) {
-        *out = ShardedPassResult{};
-        return false;
-    }
-
-    // Merge: every counter is a sum over disjoint set partitions (the
-    // trace is non-empty, so every shard's state exists).
-    out->shards = shards;
-    auto merged = [&](std::size_t p) {
-        StackProfile prof = state[0]->profs[p]->profile();
-        for (unsigned s = 1; s < shards; ++s) {
-            prof.Merge(state[s]->profs[p]->profile());
-        }
-        return prof;
-    };
-    out->profiles.reserve(passes.size());
-    for (std::size_t p = 0; p < passes.size(); ++p) {
-        out->profiles.push_back(merged(p));
-    }
-    out->raw_profiles.reserve(raw_passes.size());
-    for (std::size_t p = 0; p < raw_passes.size(); ++p) {
-        out->raw_profiles.push_back(merged(passes.size() + p));
-    }
-    if (l1 != nullptr) {
-        out->l1 = state[0]->l1->stats();
-        for (unsigned s = 1; s < shards; ++s) {
-            out->l1 += state[s]->l1->stats();
+        if (ok) {
+            // The trace is non-empty, so every shard's state exists.
+            return MergeShards(state, passes.size());
         }
     }
-    return true;
+    PIM_TRACE_SPAN("sweep", "ProfilePass");
+    std::vector<std::unique_ptr<PassState>> state;
+    state.push_back(std::make_unique<PassState>(l1, passes, raw_passes));
+    trace.ReplayInto(state[0]->top);
+    return MergeShards(state, passes.size());
 }
 
 } // namespace pim::sim

@@ -1,11 +1,11 @@
 /**
  * @file
  * Set-sharded profiling passes: intra-trace parallelism for
- * SweepRunner::ProfileStudy (sim/sweep.h).
+ * SweepRunner::ProfilePass (sim/sweep.h).
  *
  * The study parallelizes *across* L1 jobs; a single-L1 study — the
  * common `pim_run --sweep=study|llc` and `pim_serve` case — would still
- * be one thread.  ShardedReplay::ProfilePass parallelizes *within* one
+ * be one thread.  SweepRunner::ProfilePass parallelizes *within* one
  * pass, bit-identically:
  *
  * Why sharding by set is exact.  The cache model's and the profiler's
@@ -48,11 +48,13 @@
  * materializes: peak memory stays O(window buckets + shard state)
  * however long the trace is, and the shard state persists across
  * windows so the counters are exactly those of one uninterrupted pass.
- * When the geometry does not admit a valid key (non-pow2 set counts,
- * prefetcher-model passes, fewer than two shards possible) — or when a
- * trace entry spans past TraceEntry::kMaxAddr, whose split sub-entries
- * a packed entry cannot represent — ProfilePass declines and the
- * caller runs the serial pass, which is trivially bit-identical.
+ * When the plan admits fewer than two shards (non-pow2 set counts,
+ * prefetcher-model passes, a one-thread budget, PIM_SHARD_PASS=off) —
+ * or when a trace entry spans past TraceEntry::kMaxAddr, whose split
+ * sub-entries a packed entry cannot represent — ProfilePass runs the
+ * same per-shard state as its one-shard case: one copy fed the whole
+ * trace through TraceSource::ReplayInto, with no partition and no
+ * buckets, which is the serial pass itself.
  */
 
 #ifndef PIM_SIM_SHARDED_REPLAY_H
@@ -63,93 +65,39 @@
 
 #include "sim/cache.h"
 #include "sim/stack_profiler.h"
-#include "sim/sweep.h"
-#include "sim/trace.h"
 
 namespace pim::sim {
 
-/** How a ShardedReplay pass will (or won't) split its levels. */
+/** How a profiling pass will (or won't) split its levels. */
 struct ShardedReplayPlan
 {
-    bool supported = false;      ///< False => serial fallback.
+    bool supported = false;      ///< False => the one-shard pass.
     unsigned shards = 1;         ///< S, a power of two >= 2 if supported.
     std::uint32_t block_shift = 0; ///< shard = (addr>>shift) & (S-1).
     const char *why = "";        ///< Reason when !supported.
 };
 
 /**
- * Result of one set-sharded profiling pass (ShardedReplay::ProfilePass):
- * the merged profiles of every requested pass geometry, plus the merged
- * counters of the nested L1 when the pass ran one.
+ * The sharding a profiling pass would use: one block-cyclic key
+ * simultaneously valid for the optional nested L1 (@p l1, may be null
+ * for raw-trace passes) and EVERY pass geometry in @p passes and
+ * @p raw_passes.  Each level with line 2^l and 2^n sets constrains the
+ * key bits to [l, l+n); the key therefore uses bits
+ * [shift, shift+log2 S) with shift >= max(l) and
+ * shift + log2 S <= min(l+n), which makes the shard a function of
+ * each level's set index — so every set's probe subsequence (and each
+ * L1 set's victim writebacks) lives wholly in one shard.
+ * Unsupported when PIM_SHARD_PASS is off, when any level has a
+ * non-pow2 set count, when a pass models the stream prefetcher (its
+ * sequential-pair detector couples adjacent lines across sets), or
+ * when fewer than two shards fit the common set bits or
+ * @p shard_limit.
  */
-struct ShardedPassResult
-{
-    unsigned shards = 1;
-    /** Merged L1 counters; default-initialized when no L1 was nested. */
-    CacheStats l1;
-    /** Merged pass profiles, parallel to the pass config list. */
-    std::vector<StackProfile> profiles;
-    /** Merged raw-trace pass profiles, parallel to the raw configs. */
-    std::vector<StackProfile> raw_profiles;
-};
-
-/** Intra-trace parallel profiling pass over one trace. */
-class ShardedReplay
-{
-  public:
-    /** @param runner supplies the worker pool and the shard budget. */
-    explicit ShardedReplay(SweepRunner runner = SweepRunner{})
-        : runner_(runner)
-    {
-    }
-
-    /**
-     * The sharding a profiling pass would use: one block-cyclic key
-     * simultaneously valid for the optional nested L1 (@p l1, may be
-     * null for raw-trace passes) and EVERY pass geometry in
-     * @p passes and @p raw_passes.  Each level with line 2^l and 2^n
-     * sets constrains the key bits to [l, l+n); the key therefore uses
-     * bits
-     * [shift, shift+log2 S) with shift >= max(l) and
-     * shift + log2 S <= min(l+n), which makes the shard a function of
-     * each level's set index — so every set's probe subsequence (and
-     * each L1 set's victim writebacks) lives wholly in one shard.
-     * Unsupported when any level has a non-pow2 set count, when a pass
-     * models the stream prefetcher (its sequential-pair detector
-     * couples adjacent lines across sets), or when fewer than two
-     * shards fit the common set bits.
-     */
-    static ShardedReplayPlan
-    PlanForPass(const CacheConfig *l1,
-                const std::vector<StackProfilerConfig> &passes,
-                const std::vector<StackProfilerConfig> &raw_passes,
-                unsigned shard_limit);
-
-    /**
-     * Set-sharded profiling pass: replay @p trace through per-shard
-     * private state — a cold @p l1 (when non-null) whose miss stream
-     * fans out to one StackDistanceProfiler per entry of @p passes
-     * (fed the trace itself when @p l1 is null), beside one profiler
-     * per entry of @p raw_passes fed the trace itself — on the
-     * runner's workers, then merge the shard snapshots
-     * (StackProfile::Merge / CacheStats::operator+=) into @p out.
-     * Counters are bit-identical to the serial pass at any shard or
-     * thread count: the shard key keeps every profiler set's (and L1
-     * set's) ordered probe subsequence intact, and every merged
-     * counter is a sum over disjoint sets.  Sources are streamed in
-     * bounded windows (see the file comment).  Returns false — with
-     * *out untouched beyond reset — when the plan is
-     * unsupported or an access overflows TraceEntry::kMaxAddr; the
-     * caller then runs the serial pass.
-     */
-    bool ProfilePass(const TraceSource &trace, const CacheConfig *l1,
-                     const std::vector<StackProfilerConfig> &passes,
-                     const std::vector<StackProfilerConfig> &raw_passes,
-                     ShardedPassResult *out) const;
-
-  private:
-    SweepRunner runner_;
-};
+ShardedReplayPlan
+PlanForPass(const CacheConfig *l1,
+            const std::vector<StackProfilerConfig> &passes,
+            const std::vector<StackProfilerConfig> &raw_passes,
+            unsigned shard_limit);
 
 } // namespace pim::sim
 

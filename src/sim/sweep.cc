@@ -5,7 +5,6 @@
 #include <cstdlib>
 #include <exception>
 #include <map>
-#include <memory>
 #include <mutex>
 #include <optional>
 #include <thread>
@@ -37,18 +36,6 @@ EnvThreadOverride()
 
 /** SetDefaultThreads override; beats the environment when nonzero. */
 std::atomic<unsigned> g_default_threads{0};
-
-/**
- * PIM_SHARD_PASS (default on) gates the set-sharded profiling-pass
- * engine everywhere — the off position is the serial-pass baseline the
- * benchmarks compare against and the safety valve if sharding ever
- * misbehaves in the field.  Counters are bit-identical either way.
- */
-bool
-ShardPassEnabled()
-{
-    return EnvSwitch("PIM_SHARD_PASS", true);
-}
 
 } // namespace
 
@@ -332,25 +319,21 @@ SweepRunner::ProfileStudy(const TraceSource &trace,
     result.profile_passes =
         jobs.size() * llc_groups.size() + pim_groups.size();
 
-    // Readout shared by the sharded and serial job bodies: identical
-    // O(histogram) readouts over whichever profile store a job
-    // produced (merged shard snapshots or live profilers).  @p llc
-    // indexes the LLC groups, @p pim the job's riding PIM groups.
-    using ProfileOf =
-        std::function<const StackProfile &(std::size_t)>;
-    auto read_job = [&](const ReplayJob &j, const CacheStats &l1_stats,
-                        const ProfileOf &llc, const ProfileOf &pim) {
+    // Readout of one finished job pass: O(histogram) per point.  The
+    // pass's profiles are the LLC groups in order; its raw profiles
+    // are the job's riding PIM groups.
+    auto read_job = [&](const ReplayJob &j, const ShardedPassResult &pass) {
         for (std::size_t g = 0; g < llc_groups.size(); ++g) {
             const StudyPassGroup &pg = llc_groups[g];
             for (std::size_t m = 0; m < pg.points.size(); ++m) {
                 const StudyPointResult point = ReadProfilePoint(
-                    llc(g), pg.assocs[m], pg.policies[m],
+                    pass.profiles[g], pg.assocs[m], pg.policies[m],
                     spec.model_prefetcher);
                 for (const std::size_t row : j.rows) {
                     StudyPointResult &out =
                         result.host[row][pg.points[m]];
                     out = point;
-                    out.counters.l1 = l1_stats;
+                    out.counters.l1 = pass.l1;
                     out.counters.has_llc = true;
                 }
             }
@@ -361,8 +344,9 @@ SweepRunner::ProfileStudy(const TraceSource &trace,
                 // A PIM point is the profiled cache over its DRAM
                 // path directly: the profiler's stats ARE its L1.
                 StudyPointResult &out = result.pim[pg.points[m]];
-                out = ReadProfilePoint(pim(k), pg.assocs[m],
-                                       pg.policies[m], false);
+                out = ReadProfilePoint(pass.raw_profiles[k],
+                                       pg.assocs[m], pg.policies[m],
+                                       false);
                 out.counters.l1 = out.counters.llc;
                 out.counters.llc = CacheStats{};
                 out.counters.has_llc = false;
@@ -386,70 +370,35 @@ SweepRunner::ProfileStudy(const TraceSource &trace,
         return cfgs;
     };
 
-    // Sharded-capable jobs run one at a time, each spreading its set
-    // shards over the full worker pool (sim/sharded_replay.h) — this
-    // is what parallelizes the common single-L1 study.  A job shards
-    // only when every level it feeds admits one key; the jobs the
-    // engine declines (prefetcher-model passes, geometries without a
-    // valid shard key, PIM_SHARD_PASS=off) batch into one ForEach.
-    std::vector<std::size_t> serial_jobs;
-    const ShardedReplay sharded(*this);
-    const bool use_sharded = ShardPassEnabled();
+    // A job whose plan shards runs alone, spreading its set shards
+    // over the full worker pool (sim/sharded_replay.h) — this is what
+    // parallelizes the common single-L1 study.  The other jobs
+    // (prefetcher-model passes, geometries without a valid shard key,
+    // PIM_SHARD_PASS=off) run side by side, each a one-shard pass on a
+    // one-thread runner.
+    std::vector<std::size_t> side_jobs;
     for (std::size_t j = 0; j < jobs.size(); ++j) {
         const ReplayJob &job = jobs[j];
-        ShardedPassResult pass;
-        if (!use_sharded ||
-            !sharded.ProfilePass(
-                trace, job.l1 ? &*job.l1 : nullptr, llc_cfgs,
-                raw_cfgs(job), &pass)) {
-            serial_jobs.push_back(j);
+        const CacheConfig *l1 = job.l1 ? &*job.l1 : nullptr;
+        const std::vector<StackProfilerConfig> raw = raw_cfgs(job);
+        if (!PlanForPass(l1, llc_cfgs, raw, threads_).supported) {
+            side_jobs.push_back(j);
             continue;
         }
-        read_job(job, pass.l1,
-                 [&](std::size_t g) -> const StackProfile & {
-                     return pass.profiles[g];
-                 },
-                 [&](std::size_t k) -> const StackProfile & {
-                     return pass.raw_profiles[k];
-                 });
+        const ShardedPassResult pass =
+            ProfilePass(trace, l1, llc_cfgs, raw);
+        read_job(job, pass);
         result.shards = std::max(result.shards, pass.shards);
     }
 
-    ForEach(serial_jobs.size(), [&](std::size_t idx) {
-        const ReplayJob &job = jobs[serial_jobs[idx]];
+    ForEach(side_jobs.size(), [&](std::size_t idx) {
+        const ReplayJob &job = jobs[side_jobs[idx]];
         PIM_TRACE_SPAN("sweep", "study_job[" +
-                                    std::to_string(serial_jobs[idx]) +
+                                    std::to_string(side_jobs[idx]) +
                                     "]");
-        // The nested pass: one L1 simulation whose exact miss stream
-        // (fills + victim writebacks, in emission order) fans out to
-        // every LLC pass while hot, beside the riding PIM passes.
-        std::vector<std::unique_ptr<StackDistanceProfiler>> llc_profs;
-        std::vector<std::unique_ptr<StackDistanceProfiler>> pim_profs;
-        FanoutSink llc_fanout;
-        FanoutSink top;
-        std::unique_ptr<Cache> l1;
-        for (const StudyPassGroup &g : llc_groups) {
-            llc_profs.push_back(
-                std::make_unique<StackDistanceProfiler>(g.cfg));
-            llc_fanout.AddSink(*llc_profs.back());
-        }
-        if (job.l1) {
-            l1 = std::make_unique<Cache>(*job.l1, llc_fanout);
-            top.AddSink(*l1);
-        }
-        for (const std::size_t g : job.pim) {
-            pim_profs.push_back(std::make_unique<StackDistanceProfiler>(
-                pim_groups[g].cfg));
-            top.AddSink(*pim_profs.back());
-        }
-        trace.ReplayInto(top);
-        read_job(job, l1 ? l1->stats() : CacheStats{},
-                 [&](std::size_t g) -> const StackProfile & {
-                     return llc_profs[g]->profile();
-                 },
-                 [&](std::size_t k) -> const StackProfile & {
-                     return pim_profs[k]->profile();
-                 });
+        read_job(job, SweepRunner(1).ProfilePass(
+                          trace, job.l1 ? &*job.l1 : nullptr, llc_cfgs,
+                          raw_cfgs(job)));
     });
     return result;
 }

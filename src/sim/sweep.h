@@ -13,9 +13,10 @@
  *    point is an O(histogram) readout of its group's pass — one pass
  *    covers every capacity phrased at a fixed set count.  A
  *    single-level LLC ladder is the one-L1 case.  PIM points' passes
- *    ride those replays beside the L1.  Passes are set-sharded across
- *    the worker pool when the geometry admits it
- *    (sim/sharded_replay.h).  See sim/stack_profiler.h.
+ *    ride those replays beside the L1.  Every pass runs through
+ *    ProfilePass, set-sharded across the worker pool when the
+ *    geometry admits it (sim/sharded_replay.h).  See
+ *    sim/stack_profiler.h.
  *  - ReplayTrace: the reference path — one full cold replay per
  *    config, for any (heterogeneous) hierarchy.  Kept as the
  *    equivalence baseline; the study must produce bit-identical
@@ -100,11 +101,29 @@ struct StudyResult
     std::size_t profile_passes = 0;
     /**
      * Largest set-shard count any pass job ran with (1 = every pass
-     * ran serial: PIM_SHARD_PASS=off, prefetcher-model passes, or
-     * geometries without a valid shard key).  Counters never depend on
-     * it — telemetry for attributing study wall-clock.
+     * ran as one shard: PIM_SHARD_PASS=off, one thread,
+     * prefetcher-model passes, or geometries without a valid shard
+     * key).  Counters never depend on it — telemetry for attributing
+     * study wall-clock.
      */
     unsigned shards = 1;
+};
+
+/**
+ * One profiling pass (SweepRunner::ProfilePass): the merged profiles
+ * of every requested pass geometry, plus the merged counters of the
+ * nested L1 when the pass ran one.
+ */
+struct ShardedPassResult
+{
+    /** Set shards the pass ran with; 1 = the one-shard (serial) pass. */
+    unsigned shards = 1;
+    /** Merged L1 counters; default-initialized when no L1 was nested. */
+    CacheStats l1;
+    /** Merged pass profiles, parallel to the pass config list. */
+    std::vector<StackProfile> profiles;
+    /** Merged raw-trace pass profiles, parallel to the raw configs. */
+    std::vector<StackProfile> raw_profiles;
 };
 
 /**
@@ -226,18 +245,39 @@ class SweepRunner
      * PerfCounters.  Each LLC point's size must be divisible by
      * associativity * line_bytes, as for any Cache.
      *
-     * Each replay job is additionally set-sharded across the worker
-     * pool when all of its geometries (L1, LLC groups and riding PIM
-     * groups) admit a common shard key
-     * (sim/sharded_replay.h): per-shard private L1s feed per-shard
-     * profiler fanouts and the shard snapshots merge bit-identically,
-     * so even a single-L1 study uses every core.  Prefetcher-model
-     * passes and non-pow2 geometries fall back to the serial job, and
-     * PIM_SHARD_PASS=off forces the serial path everywhere;
-     * StudyResult::shards reports what ran.
+     * Every replay job is one ProfilePass.  A job whose geometries
+     * (L1, LLC groups and riding PIM groups) admit a common shard key
+     * (sim/sharded_replay.h) runs alone, its set shards spread over
+     * the whole worker pool, so even a single-L1 study uses every
+     * core; the other jobs (prefetcher-model passes, non-pow2
+     * geometries, PIM_SHARD_PASS=off) run side by side, one thread
+     * each, as one-shard passes.  StudyResult::shards reports what
+     * ran.
      */
     StudyResult ProfileStudy(const TraceSource &trace,
                              const StudySpec &spec) const;
+
+    /**
+     * One profiling pass over @p trace: a cold @p l1 (when non-null)
+     * whose miss stream fans out to one StackDistanceProfiler per entry
+     * of @p passes (fed the trace itself when @p l1 is null), beside
+     * one profiler per entry of @p raw_passes fed the trace itself.
+     *
+     * When PlanForPass admits two or more shards at this runner's
+     * thread count, every shard gets a private copy of that state, the
+     * trace is streamed in bounded windows, partitioned by set and
+     * replayed on the runner's workers, and the shard snapshots merge
+     * (StackProfile::Merge / CacheStats::operator+=).  Otherwise — and
+     * when an access overflows TraceEntry::kMaxAddr, which restarts
+     * the pass — one copy of the state is fed the whole trace through
+     * TraceSource::ReplayInto.  Counters are bit-identical either way,
+     * at any shard or thread count (sim/sharded_replay.h).  A
+     * trace-decode error (a corrupt container) throws on the caller.
+     */
+    ShardedPassResult
+    ProfilePass(const TraceSource &trace, const CacheConfig *l1,
+                const std::vector<StackProfilerConfig> &passes,
+                const std::vector<StackProfilerConfig> &raw_passes) const;
 
   private:
     unsigned threads_;

@@ -1,16 +1,20 @@
 /**
  * @file
  * Fixtures shared by the replay-engine tests: a seeded random stream,
- * the recorded kernel streams every engine must reproduce, and a gtest
- * printer for hierarchy parameters.
+ * the recorded kernel streams every engine must reproduce, a gtest
+ * printer for hierarchy parameters, and a scoped PIM_SHARD_PASS
+ * switch.
  */
 
 #ifndef PIM_TESTS_REPLAY_FIXTURES_H
 #define PIM_TESTS_REPLAY_FIXTURES_H
 
 #include <cstdint>
+#include <cstdlib>
 #include <functional>
+#include <optional>
 #include <ostream>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -46,6 +50,32 @@ std::vector<std::pair<const char *, AccessTrace>> KernelTraces();
  * change from build to build.
  */
 void PrintTo(const HierarchyConfig &config, std::ostream *os);
+
+/** Sets PIM_SHARD_PASS for one scope, then restores the old value. */
+class ShardPassSwitch
+{
+  public:
+    explicit ShardPassSwitch(bool on)
+    {
+        if (const char *old = std::getenv("PIM_SHARD_PASS")) {
+            old_ = old;
+        }
+        ::setenv("PIM_SHARD_PASS", on ? "on" : "off", 1);
+    }
+    ~ShardPassSwitch()
+    {
+        if (old_) {
+            ::setenv("PIM_SHARD_PASS", old_->c_str(), 1);
+        } else {
+            ::unsetenv("PIM_SHARD_PASS");
+        }
+    }
+    ShardPassSwitch(const ShardPassSwitch &) = delete;
+    ShardPassSwitch &operator=(const ShardPassSwitch &) = delete;
+
+  private:
+    std::optional<std::string> old_;
+};
 
 } // namespace pim::sim
 

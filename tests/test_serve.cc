@@ -30,6 +30,7 @@
 #include "serve/server.h"
 #include "sim/hierarchy.h"
 #include "sim/trace.h"
+#include "replay_fixtures.h"
 
 namespace pim::serve {
 namespace {
@@ -142,13 +143,14 @@ class ServeTest : public ::testing::Test
     /** Start a server; the fixture owns it and stops it on teardown. */
     PimServer &
     StartServer(const char *tag, unsigned workers,
-                std::size_t queue_capacity = 16)
+                std::size_t queue_capacity = 16,
+                unsigned sweep_threads = 1)
     {
         ServerConfig config;
         config.socket_path = UniqueSocketPath(tag);
         config.workers = workers;
         config.queue_capacity = queue_capacity;
-        config.sweep_threads = 1; // deterministic, test-sized
+        config.sweep_threads = sweep_threads; // 1: deterministic, test-sized
         server_ = std::make_unique<PimServer>(config);
         std::string error;
         EXPECT_TRUE(server_->Start(&error)) << error;
@@ -285,6 +287,67 @@ TEST_F(ServeTest, UnknownAndInvalidRequestsAreRejectedPerRequest)
     // Invalid submissions never enter the job table.
     const JsonValue status = server_->StatusJson();
     EXPECT_EQ(StatusCounter(status, "jobs", "submitted"), 0u);
+}
+
+TEST_F(ServeTest, NonFiniteOrFractionalValuesAreRejectedBeforeConversion)
+{
+    StartServer("badvalue", 1);
+    auto client = Connect();
+    ASSERT_NE(client, nullptr);
+
+    // Raw frames: 1e999 parses to +inf, which JsonValue cannot write.
+    // The host LLC granule is 8 ways x 64 B = 0.5 KiB; sizes that are
+    // not a positive multiple of it, or not finite, must be answered
+    // per request, before any conversion to an integer size.
+    const struct
+    {
+        const char *frame;
+        const char *code;
+    } cases[] = {
+        {R"({"type":"submit","kernel":"texture_tiling","scale":0.25,)"
+         R"("llc_kib":[0.25]})",
+         "bad_point"},
+        {R"({"type":"submit","kernel":"texture_tiling","scale":0.25,)"
+         R"("llc_kib":[256.25]})",
+         "bad_point"},
+        {R"({"type":"submit","kernel":"texture_tiling","scale":0.25,)"
+         R"("llc_kib":[-256]})",
+         "bad_point"},
+        {R"({"type":"submit","kernel":"texture_tiling","scale":0.25,)"
+         R"("llc_kib":[1e999]})",
+         "bad_point"},
+        {R"({"type":"submit","kernel":"texture_tiling","scale":0.25,)"
+         R"("llc_kib":[-1e999]})",
+         "bad_point"},
+        {R"({"type":"submit","kernel":"texture_tiling","scale":1e999,)"
+         R"("llc_kib":[256]})",
+         "bad_request"},
+    };
+    for (const auto &c : cases) {
+        ASSERT_TRUE(client->SendRaw(std::string(c.frame) + "\n"));
+        auto err = ReadFrame(*client);
+        ASSERT_TRUE(err.has_value()) << c.frame;
+        ASSERT_EQ(err->Type(), "error") << c.frame << " -> " << err->raw;
+        EXPECT_EQ(err->doc.Find("error")->AsString(), c.code)
+            << c.frame << " -> " << err->raw;
+    }
+
+    // The server is still up: it answers status and runs a valid job.
+    // Half a KiB is one granule; its integer cast once made an LLC of
+    // size 0 and aborted the server.
+    JsonValue status = JsonValue::Object();
+    status.Set("type", "status");
+    ASSERT_TRUE(client->Send(status));
+    auto ok = ReadFrame(*client);
+    ASSERT_TRUE(ok.has_value());
+    EXPECT_EQ(ok->Type(), "status");
+    EXPECT_EQ(StatusCounter(ok->doc, "jobs", "submitted"), 0u);
+    const SweepRun run = RunSweep(
+        *client, SubmitRequest("texture_tiling", 0.125, {0.5, 256}));
+    ASSERT_EQ(run.results.size(), 2u);
+    const auto half = JsonParse(run.results[0]);
+    ASSERT_TRUE(half.has_value());
+    EXPECT_EQ(FieldU64(*half, "llc_bytes"), 512u) << run.results[0];
 }
 
 TEST_F(ServeTest, DuplicateSubmissionIsServedFromTheMemoBitIdentically)
@@ -477,6 +540,30 @@ TEST_F(ServeTest, StudySubmissionAnswersTheAssociativityAxis)
     EXPECT_EQ(StatusCounter(status, "replay", "profile_passes"), 1u);
     EXPECT_EQ(StatusCounter(status, "profiles", "misses"), 1u);
     EXPECT_EQ(StatusCounter(status, "profiles", "entries"), 1u);
+}
+
+TEST_F(ServeTest, StudyFramesAreIdenticalWithShardedPassesOnAndOff)
+{
+    // Two sweep threads admit a sharded pass at the host geometry;
+    // PIM_SHARD_PASS=off runs the same pass as one shard.  The frames
+    // must not tell them apart, and profiles.sharded says which ran.
+    std::vector<std::string> frames[2];
+    for (const bool shard : {true, false}) {
+        const sim::ShardPassSwitch guard(shard);
+        StartServer(shard ? "study_sharded" : "study_serial", 1, 16, 2);
+        auto client = Connect();
+        ASSERT_NE(client, nullptr);
+        const SweepRun run = RunSweep(
+            *client, StudyRequest("texture_tiling", 0.125, {1, 2, 4, 8}));
+        ASSERT_EQ(run.results.size(), 4u);
+        frames[shard ? 0 : 1] = run.results;
+        const JsonValue status = server_->StatusJson();
+        EXPECT_EQ(StatusCounter(status, "replay", "profile_passes"), 1u);
+        EXPECT_EQ(StatusCounter(status, "profiles", "sharded"),
+                  shard ? 1u : 0u);
+        server_->Stop();
+    }
+    EXPECT_EQ(frames[0], frames[1]);
 }
 
 TEST_F(ServeTest, RepeatStudyWithChangedUntrackedAxisNeedsNoReplay)

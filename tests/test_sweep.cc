@@ -53,6 +53,22 @@ SameCacheStats(const CacheStats &a, const CacheStats &b)
 }
 
 bool
+SameProfile(const StackProfile &a, const StackProfile &b)
+{
+    return a.line_bytes == b.line_bytes && a.num_sets == b.num_sets &&
+           a.write_allocate == b.write_allocate &&
+           a.max_assoc == b.max_assoc &&
+           a.read_hist == b.read_hist && a.write_hist == b.write_hist &&
+           a.read_far == b.read_far && a.write_far == b.write_far &&
+           a.probes == b.probes && a.tracked == b.tracked &&
+           a.writebacks == b.writebacks &&
+           a.prefetcher == b.prefetcher &&
+           a.prefetches_issued == b.prefetches_issued &&
+           a.useful_hist == b.useful_hist &&
+           a.useful_far == b.useful_far;
+}
+
+bool
 SameDramStats(const DramStats &a, const DramStats &b)
 {
     return a.read_requests == b.read_requests &&
@@ -628,23 +644,19 @@ TEST(ShardedReplay, PlanRespectsGeometryAndShardBudget)
     StackProfilerConfig llc_pass;
     llc_pass.line_bytes = host.llc->line_bytes;
     llc_pass.num_sets = CacheGeometry(*host.llc).num_sets;
-    const ShardedReplayPlan plan4 =
-        ShardedReplay::PlanForPass(&host.l1, {llc_pass}, {}, 4);
+    const ShardedReplayPlan plan4 = PlanForPass(&host.l1, {llc_pass}, {}, 4);
     EXPECT_TRUE(plan4.supported);
     EXPECT_EQ(plan4.shards, 4u);
     // A budget that is not a power of two rounds down.
-    EXPECT_EQ(ShardedReplay::PlanForPass(&host.l1, {llc_pass}, {}, 7).shards,
-              4u);
+    EXPECT_EQ(PlanForPass(&host.l1, {llc_pass}, {}, 7).shards, 4u);
 
     // A budget of one shard means there is nothing to parallelize.
-    EXPECT_FALSE(ShardedReplay::PlanForPass(&host.l1, {llc_pass}, {}, 1)
-                     .supported);
+    EXPECT_FALSE(PlanForPass(&host.l1, {llc_pass}, {}, 1).supported);
 
     // Non-power-of-two set counts have no maskable shard key.
     StackProfilerConfig odd = llc_pass;
     odd.num_sets = 192;
-    EXPECT_FALSE(
-        ShardedReplay::PlanForPass(&host.l1, {odd}, {}, 4).supported);
+    EXPECT_FALSE(PlanForPass(&host.l1, {odd}, {}, 4).supported);
 }
 
 TEST(ShardedReplay, NonPowerOfTwoGeometryFallsBackBitIdentically)
@@ -664,7 +676,7 @@ TEST(ShardedReplay, OverflowSpanFallsBackToSerial)
 {
     // An entry whose span reaches past kMaxAddr cannot be split into
     // representable packed sub-entries; the pass must detect it during
-    // partition and decline, and the study then runs its serial pass.
+    // partition and rerun as its one-shard (serial) pass.
     AccessTrace trace;
     for (std::size_t i = 0; i < 5000; ++i) {
         trace.Append(0x1000 + i * 64, 64, AccessType::kRead);
@@ -679,13 +691,19 @@ TEST(ShardedReplay, OverflowSpanFallsBackToSerial)
     StackProfilerConfig llc_pass;
     llc_pass.line_bytes = host.llc->line_bytes;
     llc_pass.num_sets = CacheGeometry(*host.llc).num_sets;
+    StackDistanceProfiler serial_prof(llc_pass);
+    Cache serial_l1(host.l1, serial_prof);
+    source.ReplayInto(serial_l1);
     for (const unsigned threads : {2u, 4u}) {
         const SweepRunner runner(threads);
-        ShardedPassResult pass;
-        EXPECT_FALSE(ShardedReplay(runner).ProfilePass(
-            source, &host.l1, {llc_pass}, {}, &pass))
+        const ShardedPassResult pass =
+            runner.ProfilePass(source, &host.l1, {llc_pass}, {});
+        EXPECT_EQ(pass.shards, 1u) << "threads " << threads;
+        ASSERT_EQ(pass.profiles.size(), 1u);
+        EXPECT_TRUE(SameProfile(pass.profiles[0], serial_prof.profile()))
             << "threads " << threads;
-        EXPECT_TRUE(pass.profiles.empty());
+        EXPECT_TRUE(SameCacheStats(pass.l1, serial_l1.stats()))
+            << "threads " << threads;
 
         const PerfCounters ref = runner.ReplayTrace(source, {host})[0];
         const StudyResult study =
@@ -1068,32 +1086,6 @@ TEST(ProfileStudy, GridMatchesReferenceReplayOnKernelTraces)
     }
 }
 
-/** Sets PIM_SHARD_PASS for one scope, then restores the old value. */
-class ShardPassSwitch
-{
-  public:
-    explicit ShardPassSwitch(bool on)
-    {
-        if (const char *old = std::getenv("PIM_SHARD_PASS")) {
-            old_ = old;
-        }
-        ::setenv("PIM_SHARD_PASS", on ? "on" : "off", 1);
-    }
-    ~ShardPassSwitch()
-    {
-        if (old_) {
-            ::setenv("PIM_SHARD_PASS", old_->c_str(), 1);
-        } else {
-            ::unsetenv("PIM_SHARD_PASS");
-        }
-    }
-    ShardPassSwitch(const ShardPassSwitch &) = delete;
-    ShardPassSwitch &operator=(const ShardPassSwitch &) = delete;
-
-  private:
-    std::optional<std::string> old_;
-};
-
 TEST(ProfileStudy, PimPointsRidingL1ReplaysMatchPimOnlyStudy)
 {
     // The PIM groups ride the L1 replays (group g on replay g mod n),
@@ -1264,22 +1256,6 @@ TEST(TraceSourceEquivalence, AllSourcesMatchAllEnginesOnKernelTraces)
         }
         std::remove(path.c_str());
     }
-}
-
-bool
-SameProfile(const StackProfile &a, const StackProfile &b)
-{
-    return a.line_bytes == b.line_bytes && a.num_sets == b.num_sets &&
-           a.write_allocate == b.write_allocate &&
-           a.max_assoc == b.max_assoc &&
-           a.read_hist == b.read_hist && a.write_hist == b.write_hist &&
-           a.read_far == b.read_far && a.write_far == b.write_far &&
-           a.probes == b.probes && a.tracked == b.tracked &&
-           a.writebacks == b.writebacks &&
-           a.prefetcher == b.prefetcher &&
-           a.prefetches_issued == b.prefetches_issued &&
-           a.useful_hist == b.useful_hist &&
-           a.useful_far == b.useful_far;
 }
 
 /** hist[d], or 0 past the end (histograms grow on demand). */
@@ -1829,20 +1805,18 @@ TEST(ShardedPassProperty, RandomGeometriesBitIdenticalToSerial)
 
         for (std::size_t s = 0; s < 2; ++s) {
             for (const unsigned threads : {1u, 2u, 8u}) {
-                const ShardedReplay sharded{SweepRunner(threads)};
-                ShardedPassResult pass;
-                const bool ok = sharded.ProfilePass(
-                    *sources[s], l1, {pcfg}, raw, &pass);
+                const ShardedPassResult pass =
+                    SweepRunner(threads).ProfilePass(*sources[s], l1,
+                                                     {pcfg}, raw);
                 const std::string tag = what + " via " +
                                         source_names[s] + " x" +
                                         std::to_string(threads);
+                // One worker never shards: the one-shard pass.
                 if (threads == 1) {
-                    // One worker never shards; callers run serially.
-                    EXPECT_FALSE(ok) << tag;
-                    continue;
+                    EXPECT_EQ(pass.shards, 1u) << tag;
+                } else {
+                    EXPECT_GE(pass.shards, 2u) << tag;
                 }
-                ASSERT_TRUE(ok) << tag;
-                EXPECT_GE(pass.shards, 2u) << tag;
                 ASSERT_EQ(pass.profiles.size(), 1u) << tag;
                 EXPECT_TRUE(SameProfile(pass.profiles[0], ref)) << tag;
                 ASSERT_EQ(pass.raw_profiles.size(), raw.size()) << tag;
@@ -1852,17 +1826,16 @@ TEST(ShardedPassProperty, RandomGeometriesBitIdenticalToSerial)
                     EXPECT_TRUE(SameProfile(pass.raw_profiles[0], raw_ref))
                         << tag;
                 }
-                ++sharded_runs;
+                sharded_runs += pass.shards > 1 ? 1 : 0;
             }
         }
 
         if (pcfg.max_assoc != 0 && g % 2 == 0) {
             CacheStats long_l1;
             const StackProfile long_ref = serial_pass(long_trace, &long_l1);
-            ShardedPassResult pass;
-            ASSERT_TRUE(ShardedReplay{SweepRunner(2)}.ProfilePass(
-                *long_saved.mapped, l1, {pcfg}, {}, &pass))
-                << what << " multi-window";
+            const ShardedPassResult pass = SweepRunner(2).ProfilePass(
+                *long_saved.mapped, l1, {pcfg}, {});
+            ASSERT_GE(pass.shards, 2u) << what << " multi-window";
             EXPECT_TRUE(SameProfile(pass.profiles[0], long_ref))
                 << what << " multi-window";
             if (nested) {
@@ -1872,7 +1845,7 @@ TEST(ShardedPassProperty, RandomGeometriesBitIdenticalToSerial)
             ++multi_window_runs;
         }
     }
-    // The suite is vacuous if the engine declined everything.
+    // The suite is vacuous if the engine never sharded.
     EXPECT_GE(sharded_runs, 40 * 2 * 2);
     EXPECT_EQ(multi_window_runs, 10);
 
@@ -1889,36 +1862,30 @@ TEST(ShardedPass, PlanDeclinesUnshardableGeometries)
     ok.line_bytes = 64;
     ok.num_sets = 64;
 
-    const ShardedReplayPlan good =
-        ShardedReplay::PlanForPass(&host_l1, {ok}, {}, 8);
+    const ShardedReplayPlan good = PlanForPass(&host_l1, {ok}, {}, 8);
     EXPECT_TRUE(good.supported);
     EXPECT_GE(good.shards, 2u);
 
     StackProfilerConfig pf = ok;
     pf.model_prefetcher = true;
-    const ShardedReplayPlan decline_pf =
-        ShardedReplay::PlanForPass(&host_l1, {pf}, {}, 8);
+    const ShardedReplayPlan decline_pf = PlanForPass(&host_l1, {pf}, {}, 8);
     EXPECT_FALSE(decline_pf.supported);
     EXPECT_NE(std::string(decline_pf.why).find("prefetcher"),
               std::string::npos);
 
     StackProfilerConfig odd_sets = ok;
     odd_sets.num_sets = 48;
-    EXPECT_FALSE(ShardedReplay::PlanForPass(&host_l1, {odd_sets}, {}, 8)
-                     .supported);
+    EXPECT_FALSE(PlanForPass(&host_l1, {odd_sets}, {}, 8).supported);
 
     // A single-stack (fully associative) pass leaves no set bits to
     // stripe on.
     StackProfilerConfig one_set = ok;
     one_set.num_sets = 1;
-    EXPECT_FALSE(ShardedReplay::PlanForPass(&host_l1, {one_set}, {}, 8)
-                     .supported);
+    EXPECT_FALSE(PlanForPass(&host_l1, {one_set}, {}, 8).supported);
 
     // One worker => fewer than two shards.
-    EXPECT_FALSE(ShardedReplay::PlanForPass(&host_l1, {ok}, {}, 1)
-                     .supported);
-    EXPECT_FALSE(ShardedReplay::PlanForPass(&host_l1, {}, {}, 8)
-                     .supported);
+    EXPECT_FALSE(PlanForPass(&host_l1, {ok}, {}, 1).supported);
+    EXPECT_FALSE(PlanForPass(&host_l1, {}, {}, 8).supported);
 }
 
 TEST(ShardedPass, LazyVerifyFailureSurfacesOnCaller)
@@ -1947,20 +1914,24 @@ TEST(ShardedPass, LazyVerifyFailureSurfacesOnCaller)
         out.write(bytes.data(),
                   static_cast<std::streamsize>(bytes.size()));
     }
-    auto lazy = MappedCompactTrace::Open(
-        bad_path, &error, MappedCompactTrace::Verify::kLazy);
-    ASSERT_TRUE(lazy.has_value()) << error;
-    ASSERT_GT(lazy->BlockCount(), 64u * 2);
-
     const CacheConfig host_l1 = HostHierarchyConfig().l1;
     StackProfilerConfig pcfg;
     pcfg.line_bytes = 64;
     pcfg.num_sets = 64;
     pcfg.tracked_assocs = {4};
-    const ShardedReplay sharded{SweepRunner(2)};
-    ShardedPassResult pass;
-    EXPECT_THROW(sharded.ProfilePass(*lazy, &host_l1, {pcfg}, {}, &pass),
-                 std::runtime_error);
+    // At 2 threads the sharded pipeline decodes it on a worker; at 1
+    // the one-shard pass decodes it on the caller.  Same error.  The
+    // digest is compared once per open, so each run maps afresh.
+    for (const unsigned threads : {2u, 1u}) {
+        auto lazy = MappedCompactTrace::Open(
+            bad_path, &error, MappedCompactTrace::Verify::kLazy);
+        ASSERT_TRUE(lazy.has_value()) << error;
+        ASSERT_GT(lazy->BlockCount(), 64u * 2);
+        EXPECT_THROW(SweepRunner(threads).ProfilePass(*lazy, &host_l1,
+                                                      {pcfg}, {}),
+                     std::runtime_error)
+            << "threads " << threads;
+    }
 
     std::remove(good_path.c_str());
     std::remove(bad_path.c_str());
