@@ -125,7 +125,7 @@ PrintAblations(bench::BenchOutput &out)
             browser::Bitmap linear(px, px);
             linear.Randomize(rng);
             core::OffloadRuntime rt;
-            const auto reports = rt.RunAllReplayed(
+            const auto reports = rt.RunAll(
                 "tiling", {linear.size_bytes(), linear.size_bytes()},
                 [&](ExecutionContext &ctx) {
                     browser::TiledTexture tiled(px, px);

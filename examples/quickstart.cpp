@@ -5,7 +5,9 @@
  * This is the smallest end-to-end use of the framework:
  *   1. build a workload kernel (Chrome's texture tiling),
  *   2. run it on the three execution targets through the offload
- *      runtime (which models launch/coherence costs for PIM),
+ *      runtime (the kernel runs once on the host; its recorded access
+ *      stream is replayed into both PIM targets, which also pay the
+ *      offload's launch/coherence costs),
  *   3. print energy and runtime, the paper's Figure 18 view.
  */
 

@@ -122,19 +122,4 @@ SynthesizeReport(const std::string &kernel_name, ExecutionTarget target,
     return r;
 }
 
-std::vector<RunReport>
-RunOnAllTargets(const std::string &kernel_name,
-                const std::function<void(ExecutionContext &)> &kernel)
-{
-    std::vector<RunReport> reports;
-    for (ExecutionTarget target :
-         {ExecutionTarget::kCpuOnly, ExecutionTarget::kPimCore,
-          ExecutionTarget::kPimAccel}) {
-        ExecutionContext ctx(target);
-        kernel(ctx);
-        reports.push_back(ctx.Report(kernel_name));
-    }
-    return reports;
-}
-
 } // namespace pim::core

@@ -13,9 +13,8 @@
 #ifndef PIM_CORE_EXECUTION_CONTEXT_H
 #define PIM_CORE_EXECUTION_CONTEXT_H
 
-#include <functional>
+#include <memory>
 #include <string>
-#include <vector>
 
 #include "core/compute_model.h"
 #include "sim/access.h"
@@ -122,15 +121,6 @@ class ExecutionContext
     sim::MemPort port_;
     sim::OpCounter ops_;
 };
-
-/**
- * Run @p kernel against a fresh context for each of the three targets
- * and return the three reports in (CPU, PIM-Core, PIM-Acc) order.
- * The kernel must be re-runnable (it is invoked once per target).
- */
-std::vector<RunReport>
-RunOnAllTargets(const std::string &kernel_name,
-                const std::function<void(ExecutionContext &)> &kernel);
 
 /**
  * Build the report a native run would have produced, from a replayed

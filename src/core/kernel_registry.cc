@@ -186,8 +186,8 @@ RunKernelAllTargets(const std::string &name,
 {
     // Trace-driven path: the kernel's computation runs once (CPU-Only,
     // recording its stream); the PIM targets are evaluated by parallel
-    // batched replay.  See OffloadRuntime::RunAllReplayed.
-    const auto reports = rt.RunAllReplayed(name, footprint, kernel);
+    // batched replay.  See OffloadRuntime::RunAll.
+    const auto reports = rt.RunAll(name, footprint, kernel);
     return {name, reports[0], reports[1], reports[2]};
 }
 

@@ -6,8 +6,8 @@
  * accounts launch/coherence overheads in the report.
  *
  * In the paper this is a pair of compiler macros lowered to two ISA
- * instructions; here it is an explicit runtime call that plays the same
- * role for the simulated device.
+ * instructions; here it is one runtime call, OffloadRuntime::RunAll,
+ * that plays the same role for the simulated device.
  */
 
 #ifndef PIM_CORE_OFFLOAD_RUNTIME_H
@@ -15,6 +15,7 @@
 
 #include <functional>
 #include <string>
+#include <vector>
 
 #include "core/coherence.h"
 #include "core/execution_context.h"
@@ -43,55 +44,20 @@ class OffloadRuntime
     }
 
     /**
-     * Execute @p kernel on @p target and return the measured report,
-     * including coherence/launch overhead for PIM targets.
+     * Run @p kernel on all three targets (paper Figures 18-20 shape)
+     * and return the reports in (CPU-Only, PIM-Core, PIM-Acc) order.
      *
-     * The kernel receives a fresh ExecutionContext for the target; it
-     * must perform all its instrumented work through ctx.mem()/ctx.ops().
+     * The kernel executes natively once, on a CPU-Only context,
+     * recording its access stream and op mix; the stream is then
+     * replayed into the two PIM hierarchies concurrently
+     * (sim::SweepRunner) and their reports synthesized.  The kernel
+     * must perform all its instrumented work through
+     * ctx.mem()/ctx.ops().  Each PIM report is charged the coherence
+     * launch/flush estimate for @p footprint.
      */
-    RunReport
-    Run(const std::string &kernel_name, ExecutionTarget target,
-        const OffloadFootprint &footprint,
-        const std::function<void(ExecutionContext &)> &kernel) const;
-
-    /** Run on all three targets (paper Figures 18-20 shape). */
     std::vector<RunReport>
     RunAll(const std::string &kernel_name, const OffloadFootprint &footprint,
            const std::function<void(ExecutionContext &)> &kernel) const;
-
-    /**
-     * Trace-driven RunAll: execute @p kernel natively once (CPU-Only),
-     * recording its access stream and op mix, then replay the stream
-     * into the two PIM hierarchies concurrently (sim::SweepRunner) and
-     * synthesize their reports.  The kernel's computation runs once
-     * instead of three times, and the replays use the batched sink
-     * path — this is the fast path Figures 18-20 and the ablations use.
-     *
-     * Report order matches RunAll: (CPU-Only, PIM-Core, PIM-Acc), with
-     * the same per-target coherence overheads applied.
-     */
-    std::vector<RunReport>
-    RunAllReplayed(const std::string &kernel_name,
-                   const OffloadFootprint &footprint,
-                   const std::function<void(ExecutionContext &)> &kernel)
-        const;
-
-    /**
-     * Like Run(), but derives the coherence cost from a *tracked*
-     * directory (see coherence_directory.h) instead of the analytic
-     * resident/dirty-fraction estimate: the caller records the host's
-     * prior accesses into @p directory, and the offload flushes exactly
-     * the lines the host actually holds.
-     *
-     * @param input_base  simulated base address of the kernel's input
-     * @param output_base simulated base address of the kernel's output
-     */
-    RunReport
-    RunTracked(const std::string &kernel_name, ExecutionTarget target,
-               Address input_base, Bytes input_bytes, Address output_base,
-               Bytes output_bytes, class CoherenceDirectory &directory,
-               const std::function<void(ExecutionContext &)> &kernel)
-        const;
 
     const CoherenceParams &coherence_params() const { return coherence_; }
 

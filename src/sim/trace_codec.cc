@@ -467,7 +467,8 @@ DecodeBlockBounded(const std::uint8_t *p, const std::uint8_t *end,
  * monotonically no matter which order blocks are cursored in — the
  * first cursor to reach a block folds everything up to its end.  Once
  * the watermark covers the payload the fold is compared against the
- * header digest exactly once.
+ * header digest exactly once; a mismatch is sticky, so no later pass
+ * over the same mapping decodes the corrupt payload.
  */
 struct MappedCompactTrace::LazyVerify
 {
@@ -475,6 +476,7 @@ struct MappedCompactTrace::LazyVerify
     ContentDigest digest;       ///< Seeded with the header fields.
     std::uint64_t verified = 0; ///< Token bytes folded so far.
     bool checked = false;       ///< Final comparison performed.
+    bool failed = false;        ///< It mismatched: every Block throws.
 };
 
 MappedCompactTrace::~MappedCompactTrace()
@@ -655,11 +657,12 @@ MappedCompactTrace::Block(std::size_t b, TraceEntry *scratch) const
             }
             if (lazy_->verified == token_bytes_) {
                 lazy_->checked = true;
-                if (lazy_->digest.value() != digest_) {
-                    throw std::runtime_error(
-                        "'" + path_ + "' fails its content digest");
-                }
+                lazy_->failed = lazy_->digest.value() != digest_;
             }
+        }
+        if (lazy_->failed) {
+            throw std::runtime_error("'" + path_ +
+                                     "' fails its content digest");
         }
     }
     if (!DecodeBlockBounded(tokens_ + blk.offset, tokens_ + end_off,

@@ -409,7 +409,8 @@ class CompactTraceSource final : public TraceSource
  *    sequential fold, so a monotone high-water mark suffices even
  *    when blocks are cursored out of order); when the watermark
  *    covers the payload the result is compared and a mismatch throws
- *    std::runtime_error.  A sequential replay therefore ends fully
+ *    std::runtime_error, then and from every later Block() call on
+ *    the same mapping.  A sequential replay therefore ends fully
  *    verified at ~zero extra passes over the data;
  *  - kNone: trust the header digest — for callers that have already
  *    matched header_digest() against an external index (the corpus

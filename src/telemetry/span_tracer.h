@@ -3,13 +3,15 @@
  * Low-overhead span tracer exported as Chrome trace-event JSON
  * (loadable in chrome://tracing and Perfetto).
  *
- * The instrumented layers (core::OffloadRuntime, core::ExecutionContext,
- * sim::SweepRunner, bench sections) emit three event kinds:
+ * The instrumented layers (core::OffloadRuntime::RunAll,
+ * core::ExecutionContext, sim::SweepRunner, bench sections) emit three
+ * event kinds:
  *
  *  - scoped spans  — RAII begin/end pairs (`PIM_TRACE_SPAN`),
  *  - counters      — named sampled values (`PIM_TRACE_COUNTER`),
- *  - instants      — point markers such as the offload interface's
- *                    PIM_BEGIN / PIM_END (`PIM_TRACE_INSTANT`).
+ *  - instants      — point markers such as the PIM_BEGIN / PIM_END pair
+ *                    RunAll emits around its PIM replays
+ *                    (`PIM_TRACE_INSTANT`).
  *
  * Overhead discipline: tracing is off by default and every macro is a
  * single relaxed atomic load when disabled; defining

@@ -11,6 +11,7 @@
 #include "common/logging.h"
 #include "common/table.h"
 #include "core/execution_context.h"
+#include "core/offload_runtime.h"
 #include "sim/stack_profiler.h"
 #include "workloads/browser/bitmap.h"
 #include "workloads/browser/lzo.h"
@@ -76,8 +77,8 @@ TEST(Contracts, CompressBoundIsMonotone)
 
 TEST(Contracts, RunAllReportOrderIsStable)
 {
-    const auto reports = core::RunOnAllTargets(
-        "k", [](ExecutionContext &ctx) { ctx.ops().Alu(10); });
+    const auto reports = core::OffloadRuntime().RunAll(
+        "k", {}, [](ExecutionContext &ctx) { ctx.ops().Alu(10); });
     ASSERT_EQ(reports.size(), 3u);
     EXPECT_EQ(reports[0].target_name, "CPU-Only");
     EXPECT_EQ(reports[1].target_name, "PIM-Core");
@@ -181,8 +182,8 @@ TEST(Contracts, PimAlwaysCutsOffchipTrafficForStreamingKernel)
     pim::SimBuffer<std::uint8_t> data(512 * 1024);
     browser::FillPageLikeData(data, rng, 0.5);
 
-    const auto reports = core::RunOnAllTargets(
-        "stream", [&](ExecutionContext &ctx) {
+    const auto reports = core::OffloadRuntime().RunAll(
+        "stream", {data.size_bytes(), 0}, [&](ExecutionContext &ctx) {
             ctx.mem().Read(data.SimAddr(0), data.size_bytes());
             ctx.ops().VectorAlu(data.size());
         });

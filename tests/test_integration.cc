@@ -12,6 +12,7 @@
 #include "workloads/browser/lzo.h"
 #include "workloads/browser/page_data.h"
 #include "workloads/browser/texture_tiler.h"
+#include "workloads/ml/gemm.h"
 #include "workloads/ml/pack.h"
 #include "workloads/ml/quantize.h"
 #include "workloads/video/motion.h"
@@ -263,6 +264,132 @@ TEST(Integration, AverageEnergySavingsInPaperBand)
     EXPECT_GT(acc_saving, 0.35);
     EXPECT_LT(acc_saving, 0.80);
     EXPECT_GE(acc_saving, core_saving);
+}
+
+/** Every counter, energy component and timing field, compared exactly. */
+void
+ExpectSameReport(const RunReport &want, const RunReport &got)
+{
+    SCOPED_TRACE(want.kernel + " on " + want.target_name);
+    EXPECT_EQ(got.kernel, want.kernel);
+    EXPECT_EQ(got.target, want.target);
+    EXPECT_EQ(got.target_name, want.target_name);
+
+    EXPECT_EQ(got.ops.alu, want.ops.alu);
+    EXPECT_EQ(got.ops.mul, want.ops.mul);
+    EXPECT_EQ(got.ops.branch, want.ops.branch);
+    EXPECT_EQ(got.ops.load, want.ops.load);
+    EXPECT_EQ(got.ops.store, want.ops.store);
+    EXPECT_EQ(got.ops.simd_eligible, want.ops.simd_eligible);
+
+    const auto expect_same_cache = [](const sim::CacheStats &w,
+                                      const sim::CacheStats &g) {
+        EXPECT_EQ(g.read_hits, w.read_hits);
+        EXPECT_EQ(g.read_misses, w.read_misses);
+        EXPECT_EQ(g.write_hits, w.write_hits);
+        EXPECT_EQ(g.write_misses, w.write_misses);
+        EXPECT_EQ(g.writebacks, w.writebacks);
+    };
+    expect_same_cache(want.counters.l1, got.counters.l1);
+    expect_same_cache(want.counters.llc, got.counters.llc);
+    EXPECT_EQ(got.counters.has_llc, want.counters.has_llc);
+    EXPECT_EQ(got.counters.dram.read_requests,
+              want.counters.dram.read_requests);
+    EXPECT_EQ(got.counters.dram.write_requests,
+              want.counters.dram.write_requests);
+    EXPECT_EQ(got.counters.dram.read_bytes, want.counters.dram.read_bytes);
+    EXPECT_EQ(got.counters.dram.write_bytes,
+              want.counters.dram.write_bytes);
+
+    EXPECT_EQ(got.energy.compute, want.energy.compute);
+    EXPECT_EQ(got.energy.l1, want.energy.l1);
+    EXPECT_EQ(got.energy.llc, want.energy.llc);
+    EXPECT_EQ(got.energy.interconnect, want.energy.interconnect);
+    EXPECT_EQ(got.energy.memctrl, want.energy.memctrl);
+    EXPECT_EQ(got.energy.dram, want.energy.dram);
+
+    EXPECT_EQ(got.timing.issue_ns, want.timing.issue_ns);
+    EXPECT_EQ(got.timing.memory_ns, want.timing.memory_ns);
+    EXPECT_EQ(got.timing.bandwidth_ns, want.timing.bandwidth_ns);
+    EXPECT_EQ(got.overhead_ns, want.overhead_ns);
+}
+
+/**
+ * RunAll records the kernel once on the host and replays the stream
+ * into both PIM hierarchies.  It must report exactly what one native
+ * run per target reports, with the PIM runs charged the coherence
+ * estimate for their footprint.  Every buffer lives outside the kernel,
+ * so each native run sees the same simulated addresses.
+ */
+void
+ExpectRunAllEqualsNativeRuns(
+    const std::string &name, const OffloadFootprint &footprint,
+    const std::function<void(ExecutionContext &)> &kernel)
+{
+    const OffloadRuntime rt;
+    const std::vector<RunReport> replayed =
+        rt.RunAll(name, footprint, kernel);
+    ASSERT_EQ(replayed.size(), 3u);
+
+    const core::CoherenceCost cost = core::EstimateOffloadCoherence(
+        footprint.input_bytes, footprint.output_bytes,
+        rt.coherence_params());
+    const ExecutionTarget targets[] = {ExecutionTarget::kCpuOnly,
+                                       ExecutionTarget::kPimCore,
+                                       ExecutionTarget::kPimAccel};
+    for (std::size_t i = 0; i < 3; ++i) {
+        ExecutionContext ctx(targets[i]);
+        kernel(ctx);
+        RunReport native = ctx.Report(name);
+        if (targets[i] != ExecutionTarget::kCpuOnly) {
+            native.overhead_ns = cost.time_ns;
+            native.energy.interconnect += cost.energy_pj;
+        }
+        ExpectSameReport(native, replayed[i]);
+    }
+}
+
+TEST(OffloadRuntime, RunAllEqualsNativeRunOnEveryTarget)
+{
+    Rng rng(7);
+
+    browser::Bitmap linear(256, 256);
+    linear.Randomize(rng);
+    browser::TiledTexture tiled(256, 256);
+    ExpectRunAllEqualsNativeRuns(
+        "texture-tiling", {linear.size_bytes(), tiled.size_bytes()},
+        [&](ExecutionContext &ctx) {
+            browser::TileTexture(linear, tiled, ctx);
+        });
+
+    pim::SimBuffer<std::uint8_t> page(64 * 1024);
+    browser::FillPageLikeData(page, rng, 0.4);
+    pim::SimBuffer<std::uint8_t> packed(
+        browser::LzoCompressBound(page.size()));
+    pim::SimBuffer<std::uint8_t> unpacked(page.size());
+    ExpectRunAllEqualsNativeRuns(
+        "lzo", {page.size_bytes(), page.size_bytes()},
+        [&](ExecutionContext &ctx) {
+            const std::size_t n =
+                browser::LzoCompress(page, page.size(), packed, ctx);
+            browser::LzoDecompress(packed, n, unpacked, ctx);
+        });
+
+    ml::Matrix<std::uint8_t> a(96, 128);
+    ml::Matrix<std::uint8_t> b(128, 64);
+    a.Randomize(rng);
+    b.Randomize(rng);
+    ml::PackedMatrix pa(96, 128);
+    ml::PackedMatrix pb(64, 128);
+    ml::PackedResult pr(96, 64);
+    ExpectRunAllEqualsNativeRuns(
+        "gemm",
+        {a.size_bytes() + b.size_bytes(), pr.storage().size_bytes()},
+        [&](ExecutionContext &ctx) {
+            ml::PackLhs(a, pa, ctx);
+            ml::PackRhs(b, pb, ctx);
+            ml::QuantizedGemm(pa, 3, pb, 128, pr, ctx);
+        });
 }
 
 } // namespace

@@ -3,7 +3,8 @@
  * Tests for the compact block-encoded trace format: exact round-trips
  * (including packing-limit boundary entries), run-length behavior on
  * strided streams, block independence, the recorder tee, and replay
- * equivalence against the raw trace through a full hierarchy.
+ * equivalence against the raw trace through a full hierarchy; and the
+ * raw trace itself (recording, replay, attaching to a context).
  */
 
 #include <gtest/gtest.h>
@@ -19,6 +20,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/buffer.h"
 #include "common/rng.h"
 #include "core/execution_context.h"
 #include "core/kernel_registry.h"
@@ -26,6 +28,7 @@
 #include "sim/trace.h"
 #include "sim/trace_codec.h"
 #include "telemetry/span_tracer.h"
+#include "workloads/browser/texture_tiler.h"
 #include "replay_fixtures.h"
 
 namespace pim::sim {
@@ -669,6 +672,9 @@ TEST(MappedTrace, VerifyModesCatchPayloadCorruption)
         return n;
     };
     EXPECT_THROW(stream_all(*lazy), std::runtime_error);
+    // The failure is sticky: a second pass over the same mapping must
+    // not decode the corrupt payload silently.
+    EXPECT_THROW(stream_all(*lazy), std::runtime_error);
 
     std::remove(good_path.c_str());
     std::remove(bad_path.c_str());
@@ -738,6 +744,98 @@ TEST(MappedTrace, RejectsCorruptTruncatedAndAlienFiles)
 
     std::remove(good_path.c_str());
     std::remove(bad_path.c_str());
+}
+
+// The raw trace the codec encodes: the recorder tee, replay into
+// fresh hierarchies, and attaching a trace to an ExecutionContext.
+
+TEST(Trace, RecorderTeesWithoutPerturbing)
+{
+    sim::AccessTrace trace;
+    sim::MemoryHierarchy direct(sim::HostHierarchyConfig());
+    sim::MemoryHierarchy traced(sim::HostHierarchyConfig());
+    sim::TraceRecorder recorder(trace, traced.Top());
+
+    // Drive identical streams through both paths.
+    for (Address a = 0; a < 64_KiB; a += 64) {
+        direct.Top().Access(0x100000 + a, 64, sim::AccessType::kRead);
+        recorder.Access(0x100000 + a, 64, sim::AccessType::kRead);
+    }
+    EXPECT_EQ(trace.size(), 1024u);
+    EXPECT_EQ(trace.TotalBytes(), 64_KiB);
+    EXPECT_EQ(direct.Snapshot().l1.Misses(),
+              traced.Snapshot().l1.Misses());
+}
+
+TEST(Trace, ReplayReproducesCounters)
+{
+    // Record the real texture-tiling kernel once...
+    Rng rng(31);
+    browser::Bitmap linear(128, 64);
+    linear.Randomize(rng);
+    browser::TiledTexture tiled(128, 64);
+
+    sim::AccessTrace trace;
+    {
+        core::ExecutionContext ctx(core::ExecutionTarget::kCpuOnly);
+        sim::TraceRecorder recorder(trace, ctx.hierarchy().Top());
+        sim::MemPort port(recorder);
+        // Drive the kernel manually through the recording port.
+        for (int y = 0; y < 64; ++y) {
+            port.Read(linear.SimAddr(0, y), 128 * 4);
+        }
+    }
+    ASSERT_FALSE(trace.empty());
+
+    // ...then replay into two fresh hierarchies; counters must agree.
+    sim::MemoryHierarchy a(sim::HostHierarchyConfig());
+    sim::MemoryHierarchy b(sim::HostHierarchyConfig());
+    trace.ReplayInto(a.Top());
+    trace.ReplayInto(b.Top());
+    EXPECT_EQ(a.Snapshot().l1.Misses(), b.Snapshot().l1.Misses());
+    EXPECT_EQ(a.Snapshot().dram.TotalBytes(),
+              b.Snapshot().dram.TotalBytes());
+}
+
+TEST(Trace, ReplayThroughSmallerCacheMissesMore)
+{
+    // A reuse-heavy trace: stream a 64 KiB buffer twice.
+    sim::AccessTrace trace;
+    for (int pass = 0; pass < 2; ++pass) {
+        for (Address a = 0; a < 64_KiB; a += 64) {
+            trace.Append(0x200000 + a, 64, sim::AccessType::kRead);
+        }
+    }
+
+    sim::HierarchyConfig big = sim::PimCoreHierarchyConfig();
+    big.l1.size = 128_KiB;
+    sim::HierarchyConfig small = sim::PimCoreHierarchyConfig();
+    small.l1.size = 16_KiB;
+
+    sim::MemoryHierarchy big_h(big);
+    sim::MemoryHierarchy small_h(small);
+    trace.ReplayInto(big_h.Top());
+    trace.ReplayInto(small_h.Top());
+    EXPECT_LT(big_h.Snapshot().dram.TotalBytes(),
+              small_h.Snapshot().dram.TotalBytes());
+}
+
+TEST(Trace, ContextAttachDetach)
+{
+    sim::AccessTrace trace;
+    core::ExecutionContext ctx(core::ExecutionTarget::kCpuOnly);
+    pim::SimBuffer<std::uint8_t> buf(4096);
+
+    ctx.AttachTrace(trace);
+    ctx.mem().Read(buf.SimAddr(0), 1024);
+    EXPECT_EQ(trace.size(), 1u);
+    EXPECT_EQ(trace.TotalBytes(), 1024u);
+    // The hierarchy still saw the access (tee, not redirect).
+    EXPECT_GT(ctx.Report("t").counters.l1.Accesses(), 0u);
+
+    ctx.DetachTrace();
+    ctx.mem().Read(buf.SimAddr(0), 1024);
+    EXPECT_EQ(trace.size(), 1u); // unchanged after detach
 }
 
 } // namespace
